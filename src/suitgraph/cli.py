@@ -43,10 +43,7 @@ from .suitability import (
     SuitabilityConfig,
     generalisation_check,
     generalise_execution_model,
-    graph_from_store,
-    select_model,
     specification_check,
-    update_posteriors,
 )
 
 EXIT_OK = 0
@@ -143,41 +140,30 @@ def cmd_select(args: argparse.Namespace) -> int:
     cfg = _effective_config(args, kb)
     if kb is None:
         kb = KnowledgeBase(cfg, hierarchy.checksum())
-    rng = _rng(_resolve_seed(args))
-
-    target = args.target
-    if target not in hierarchy:
-        raise UnknownClassError(target)
-    if target in registry:
-        print(f"target: {target}")
-        print(f"target {target!r} has its own execution model; nothing to transfer")
-        print(f"selected: {target}")
-        return EXIT_OK
-
-    cluster = hierarchy.object_cluster(
-        target, registry.__contains__, max_ancestor_hops=args.max_ancestors)
-    if not cluster.members:
-        raise EmptyClusterError(target)
-
-    graph = graph_from_store(
-        cluster, hierarchy, kb, cfg,
+    trace: dict = {}
+    selected, _ = generalise_execution_model(
+        args.target, hierarchy, registry, kb, cfg, None, _rng(_resolve_seed(args)),
         action=args.action, mode=args.mode,
         reset_posteriors=args.reset_posteriors,
+        max_ancestor_hops=args.max_ancestors,
+        trace=trace,
     )
-    update_posteriors(graph, cfg, rng)
-    chosen = select_model(graph, rng)
+    if selected is None:
+        raise EmptyClusterError(args.target)
 
-    print(f"target: {target}")
-    for name in sorted(graph.candidates):
-        state = graph.candidates[name]
+    print(f"target: {args.target}")
+    if trace["own_model"]:
+        print(f"target {args.target!r} has its own execution model; nothing to transfer")
+    for name in trace["candidates"]:
+        n_success, n_failure = trace["counts"][name]
         print(
             f"  {name}"
-            f"  similarity={state.similarity:.6f}"
-            f"  n_success={state.record.n_success}"
-            f"  n_failure={state.record.n_failure}"
-            f"  posterior={state.record.posterior:.6f}"
+            f"  similarity={trace['similarities'][name]:.6f}"
+            f"  n_success={n_success}"
+            f"  n_failure={n_failure}"
+            f"  posterior={trace['posteriors'][name]:.6f}"
         )
-    print(f"selected: {chosen}")
+    print(f"selected: {selected}")
     return EXIT_OK
 
 
@@ -270,7 +256,11 @@ def cmd_teach(args: argparse.Namespace) -> int:
             raise EmptyClusterError(target)
         attempted.add(selected)
         kb.save(kb_path)
-        print(f"recorded {'success' if outcome else 'failure'} for model {selected!r} on {target!r}")
+        result = "success" if outcome else "failure"
+        if selected == target:
+            print(f"ran the own model of {target!r}: {result}; nothing recorded")
+        else:
+            print(f"recorded {result} for model {selected!r} on {target!r}")
 
     _print_teach_summary(target, hierarchy, registry, kb, cfg, args, attempted)
     return EXIT_OK
@@ -349,10 +339,12 @@ def _add_ontology_arg(parser: argparse.ArgumentParser) -> None:
         help="taxonomy file (.json json-tree, .owl/.rdf/.xml OWL subset)")
 
 
-def _add_models_arg(parser: argparse.ArgumentParser) -> None:
+def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--models", action="append", metavar="CLASSES",
         help="comma-separated classes that have execution models (repeatable)")
+    parser.add_argument("--max-ancestors", type=int, default=None, metavar="N",
+                        help="cap ancestor hops contributing to the object cluster")
 
 
 def _add_key_args(parser: argparse.ArgumentParser) -> None:
@@ -370,8 +362,6 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
                         help="RNG seed (default: SUITGRAPH_SEED env var, then 0)")
     parser.add_argument("--reset-posteriors", action="store_true",
                         help="discard persisted posteriors, keep counts")
-    parser.add_argument("--max-ancestors", type=int, default=None, metavar="N",
-                        help="cap ancestor hops contributing to the object cluster")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,9 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="candidate models for a target class")
     _add_ontology_arg(p)
-    _add_models_arg(p)
-    p.add_argument("--max-ancestors", type=int, default=None, metavar="N",
-                   help="cap ancestor hops contributing to the object cluster")
+    _add_cluster_args(p)
     p.add_argument("target")
     p.set_defaults(func=cmd_cluster)
 
@@ -398,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="dry-run one selection round (no side effects)")
     _add_ontology_arg(p)
-    _add_models_arg(p)
+    _add_cluster_args(p)
     p.add_argument("--kb", metavar="PATH", help="experience store to read (optional)")
     _add_key_args(p)
     _add_config_args(p)
@@ -407,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a simulated execution campaign")
     _add_ontology_arg(p)
-    _add_models_arg(p)
+    _add_cluster_args(p)
     p.add_argument("--gt", required=True, metavar="PATH", help="ground-truth success matrix (JSON)")
     p.add_argument("--kb", metavar="PATH", help="initial experience store (optional)")
     p.add_argument("--targets", action="append", metavar="CLASSES",
@@ -422,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("teach", help="interactive execution with human-reported outcomes")
     _add_ontology_arg(p)
-    _add_models_arg(p)
+    _add_cluster_args(p)
     p.add_argument("--kb", required=True, metavar="PATH", help="experience store to update")
     _add_key_args(p)
     _add_config_args(p)

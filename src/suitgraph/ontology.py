@@ -21,6 +21,7 @@ import json
 import logging
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Mapping
 
 logger = logging.getLogger(__name__)
@@ -108,22 +109,20 @@ class ClassHierarchy:
             self._children[name] = tuple(sorted(lst))
 
         # depth assignment doubles as cycle detection: a class on a cycle
-        # never reaches the root
+        # never reaches the root. Iterative, so deep chains need no recursion.
         self._depth: dict[str, int] = {self._root: 1}
         for name in self._parent:
-            self._depth_of(name, trail=set())
-
-    def _depth_of(self, name: str, trail: set[str]) -> int:
-        known = self._depth.get(name)
-        if known is not None:
-            return known
-        if name in trail:
-            raise OntologyError(f"cycle through class {name!r}", class_id=name)
-        trail.add(name)
-        par = self._parent[name]
-        d = self._depth_of(par, trail) + 1
-        self._depth[name] = d
-        return d
+            trail: dict[str, None] = {}
+            cur = name
+            while cur not in self._depth:
+                if cur in trail:
+                    raise OntologyError(f"cycle through class {cur!r}", class_id=cur)
+                trail[cur] = None
+                cur = self._parent[cur]
+            d = self._depth[cur]
+            for below in reversed(trail):
+                d += 1
+                self._depth[below] = d
 
     # -- structural queries -------------------------------------------------
 
@@ -246,12 +245,35 @@ class ClassHierarchy:
 
     # -- serialization ------------------------------------------------------
 
-    def _tree_dict(self, name: str) -> dict:
-        node: dict = {"name": name}
-        kids = self._children[name]
-        if kids:
-            node["children"] = [self._tree_dict(k) for k in kids]
-        return node
+    def _tree_json(self, indent: int | None, item_sep: str, key_sep: str) -> str:
+        """``json.dumps`` of the nested {"name", "children"} form, same bytes.
+
+        Built with an explicit stack: json.dumps itself recurses and fails on
+        a taxonomy a few hundred levels deep.
+        """
+        def newline(level: int) -> str:
+            return "" if indent is None else "\n" + " " * (indent * level)
+
+        parts: list[str] = []
+        stack: list = [(self._root, 0)]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            name, level = item
+            parts.append("{" + newline(level + 1) + '"name"' + key_sep + encode_basestring_ascii(name))
+            stack.append(newline(level) + "}")
+            kids = self._children[name]
+            if kids:
+                parts.append(item_sep + newline(level + 1) + '"children"' + key_sep + "["
+                             + newline(level + 2))
+                stack.append(newline(level + 1) + "]")
+                for i, kid in enumerate(reversed(kids)):
+                    if i:
+                        stack.append(item_sep + newline(level + 2))
+                    stack.append((kid, level + 2))
+        return "".join(parts)
 
     def to_json_tree(self, *, indent: int | None = 2) -> str:
         """Serialize as json-tree with children sorted by name.
@@ -259,7 +281,7 @@ class ClassHierarchy:
         parse_json_tree(h.to_json_tree()) == h for every hierarchy, and the
         output is canonical: equal hierarchies serialize to equal bytes.
         """
-        return json.dumps(self._tree_dict(self._root), indent=indent)
+        return self._tree_json(indent, "," if indent is not None else ", ", ": ")
 
     def checksum(self) -> str:
         """SHA-256 of the compact canonical json-tree form.
@@ -267,7 +289,7 @@ class ClassHierarchy:
         Format-independent: a hierarchy parsed from OWL and its json-tree
         round-trip produce the same digest.
         """
-        compact = json.dumps(self._tree_dict(self._root), separators=(",", ":"))
+        compact = self._tree_json(None, ",", ":")
         return hashlib.sha256(compact.encode("utf-8")).hexdigest()
 
 

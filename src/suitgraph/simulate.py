@@ -32,13 +32,12 @@ from . import canonical
 from .ontology import ClassHierarchy, UnknownClassError
 from .store import KnowledgeBase
 from .suitability import (
-    TIE_TOLERANCE,
     EmptyClusterError,
-    ExperienceKey,
     ExperienceRecord,
     NormalizationError,
     SuitabilityConfig,
     SuitabilityGraph,
+    argmax_random_ties,
     deterministic_success_probability,
     generalise_execution_model,
 )
@@ -118,14 +117,6 @@ def simulate_execution(gt: GroundTruthMatrix, target: str, model: str, rng: np.r
     return bool(rng.random() < gt.probability(target, model))
 
 
-def _argmax_random_ties(names: list[str], values: dict[str, float], rng: np.random.Generator) -> str:
-    best = max(values[n] for n in names)
-    tied = [n for n in names if best - values[n] <= TIE_TOLERANCE]
-    if len(tied) == 1:
-        return tied[0]
-    return tied[int(rng.integers(len(tied)))]
-
-
 def baseline_select(strategy: str, graph: SuitabilityGraph, rng: np.random.Generator) -> str:
     """Ablation selection rules that ignore part of the evidence.
 
@@ -139,13 +130,13 @@ def baseline_select(strategy: str, graph: SuitabilityGraph, rng: np.random.Gener
     if strategy == "random":
         return names[int(rng.integers(len(names)))]
     if strategy == "similarity-only":
-        return _argmax_random_ties(names, graph.similarities(), rng)
+        return argmax_random_ties(graph.similarities(), rng)
     if strategy == "count-only":
         means = {
             n: deterministic_success_probability(graph.candidates[n].record, graph.cfg)
             for n in names
         }
-        return _argmax_random_ties(names, means, rng)
+        return argmax_random_ties(means, rng)
     raise ValueError(f"unknown baseline strategy {strategy!r}; expected one of {STRATEGIES[1:]}")
 
 
@@ -286,6 +277,11 @@ def run_campaign(
             override = {
                 cand: s for (t, cand), s in config.similarity_override.items() if t == target
             }
+        own_cluster_size = 0
+        if target in registry:
+            # own-model rounds skip clustering; the log still reports the cluster size
+            own_cluster_size = len(hierarchy.object_cluster(
+                target, registry.__contains__, max_ancestor_hops=config.max_ancestor_hops))
         for trial in range(config.trials_per_object):
             trace: dict = {}
             generalise_execution_model(
@@ -307,30 +303,18 @@ def run_campaign(
                         f"posterior mass {mass!r} for target {target!r} at trial {trial}"
                     )
 
-            if trace["own_model"]:
-                # cluster not needed by the short-circuit; computed for the log only
-                cluster_size = len(hierarchy.object_cluster(
-                    target, registry.__contains__, max_ancestor_hops=config.max_ancestor_hops))
-            else:
-                cluster_size = trace["cluster_size"]
-
-            counts: dict[str, tuple[int, int]] = {}
-            for cand in trace["candidates"]:
-                rec = store.query(ExperienceKey(config.action, config.mode, target, cand))
-                counts[cand] = (rec.n_success, rec.n_failure) if rec is not None else (0, 0)
-
             steps.append(TrialStep(
                 trial=trial,
                 target=target,
-                cluster_size=cluster_size,
+                cluster_size=own_cluster_size if trace["own_model"] else trace["cluster_size"],
                 selected=trace["selected"],
                 outcome=trace["outcome"],
                 own_model=trace["own_model"],
                 specification_needed=trace["specification_needed"],
-                similarities=dict(trace["similarities"]),
-                estimates=dict(trace["estimates"]),
-                posteriors=dict(posteriors),
-                counts=counts,
+                similarities=trace["similarities"],
+                estimates=trace["estimates"],
+                posteriors=posteriors,
+                counts=trace["counts"],
             ))
     return TrialLog(config, steps)
 

@@ -270,25 +270,26 @@ def update_posteriors(
     return graph
 
 
-def select_model(
-    graph: SuitabilityGraph,
-    rng: np.random.Generator,
-    *,
-    tie_tolerance: float = TIE_TOLERANCE,
-) -> str:
-    """Candidate with the maximal posterior; ties broken uniformly at random.
+def argmax_random_ties(values: Mapping[str, float], rng: np.random.Generator) -> str:
+    """Key with the maximal value; ties broken uniformly at random.
 
-    Candidates within tie_tolerance of the maximum count as tied. The tie
-    draw is consumed only when there actually is a tie.
+    Keys are visited in sorted order and values within TIE_TOLERANCE of the
+    maximum count as tied. The tie draw is consumed only when there actually
+    is a tie.
     """
-    names = sorted(graph.candidates)
-    if not names:
-        raise EmptyClusterError(graph.target)
-    best = max(graph.candidates[n].record.posterior for n in names)
-    tied = [n for n in names if best - graph.candidates[n].record.posterior <= tie_tolerance]
+    names = sorted(values)
+    best = max(values[n] for n in names)
+    tied = [n for n in names if best - values[n] <= TIE_TOLERANCE]
     if len(tied) == 1:
         return tied[0]
     return tied[int(rng.integers(len(tied)))]
+
+
+def select_model(graph: SuitabilityGraph, rng: np.random.Generator) -> str:
+    """Candidate with the maximal posterior; ties broken uniformly at random."""
+    if not graph.candidates:
+        raise EmptyClusterError(graph.target)
+    return argmax_random_ties(graph.posteriors(), rng)
 
 
 # -- decision heuristics -----------------------------------------------------
@@ -299,20 +300,18 @@ def generalisation_check(
     siblings: Collection[str],
     records: Mapping[str, ExperienceRecord],
     cfg: SuitabilityConfig,
-    *,
-    strict_empty: bool = True,
 ) -> bool:
     """Should model_class's model be promoted to the shared parent class?
 
     True when the deterministic success estimate of the model on every
     sibling object reaches cfg.tau. ``records`` maps each sibling to the
     experience of executing model_class's model on it; a missing sibling is
-    an error, not a pass. With no siblings at all the answer is False under
-    strict_empty (default): promotion on zero sibling evidence would cascade
-    a single object's model up the tree.
+    an error, not a pass. With no siblings at all the answer is False:
+    promotion on zero sibling evidence would cascade a single object's model
+    up the tree.
     """
     if not siblings:
-        return not strict_empty
+        return False
     for sibling in sorted(siblings):
         if sibling not in records:
             raise MissingRecordError(sibling)
@@ -402,7 +401,7 @@ def generalise_execution_model(
     registry: Collection[str],
     store,
     cfg: SuitabilityConfig,
-    executor: Callable[[str, str], bool],
+    executor: Callable[[str, str], bool] | None,
     rng: np.random.Generator,
     *,
     action: str = "default",
@@ -428,9 +427,12 @@ def generalise_execution_model(
        snapshots for every cluster member.
 
     ``executor(target, model_class) -> bool`` performs the actual attempt.
-    If it raises, the store is left untouched. ``trace``, when given, is
-    filled with the round's candidates, similarities, estimates, posteriors,
-    and flags for logging.
+    If it raises, the store is left untouched. ``executor=None`` is a dry
+    run: the round selects as a real one would and returns (selected, None),
+    executing nothing and writing nothing to the store. ``trace``, when
+    given, is filled before the executor runs with the round's candidates,
+    similarities, estimates, posteriors, (n_success, n_failure) counts and
+    flags; the selected candidate's counts then include the outcome.
     """
     if target not in hierarchy:
         raise UnknownClassError(target)
@@ -438,14 +440,15 @@ def generalise_execution_model(
         trace = {}
     trace.update(
         target=target, own_model=False, specification_needed=False,
-        selected=None, outcome=None, candidates=[],
-        similarities={}, estimates={}, posteriors={}, cluster_size=0,
+        selected=None, outcome=None, candidates=[], similarities={},
+        estimates={}, posteriors={}, counts={}, cluster_size=0,
     )
 
     if target in registry:
-        outcome = bool(executor(target, target))
-        trace.update(own_model=True, selected=target, outcome=outcome)
-        return target, outcome
+        trace.update(own_model=True, selected=target)
+        if executor is not None:
+            trace["outcome"] = bool(executor(target, target))
+        return target, trace["outcome"]
 
     cluster = hierarchy.object_cluster(target, registry.__contains__, max_ancestor_hops=max_ancestor_hops)
     if not cluster.members:
@@ -462,20 +465,22 @@ def generalise_execution_model(
     chosen = selector(graph, rng) if selector is not None else select_model(graph, rng)
     if chosen not in graph.candidates:
         raise ValueError(f"selector returned {chosen!r}, not a cluster member")
+    trace.update(
+        selected=chosen,
+        candidates=sorted(graph.candidates),
+        similarities=graph.similarities(),
+        estimates=graph.last_estimates,
+        posteriors=graph.posteriors(),
+        counts={n: (s.record.n_success, s.record.n_failure) for n, s in graph.candidates.items()},
+        cluster_size=len(cluster),
+    )
+    if executor is None:
+        return chosen, None
 
-    outcome = bool(executor(target, chosen))
-
-    store.append(ExperienceKey(action, mode, target, chosen), outcome, graph.posterior(chosen))
+    outcome = trace["outcome"] = bool(executor(target, chosen))
+    record = store.append(ExperienceKey(action, mode, target, chosen), outcome, graph.posterior(chosen))
+    trace["counts"][chosen] = (record.n_success, record.n_failure)
     for member in sorted(graph.candidates):
         if member != chosen:
             store.set_posterior(ExperienceKey(action, mode, target, member), graph.posterior(member))
-
-    trace.update(
-        selected=chosen, outcome=outcome,
-        candidates=sorted(graph.candidates),
-        similarities=graph.similarities(),
-        estimates=dict(graph.last_estimates),
-        posteriors=graph.posteriors(),
-        cluster_size=len(cluster),
-    )
     return chosen, outcome

@@ -189,6 +189,26 @@ def test_select_empty_cluster_exit_code(capsys):
     assert "new execution model must be learned" in capsys.readouterr().err
 
 
+def test_select_deep_owl_chain(capsys, tmp_path):
+    # children declared before parents, 3,000 levels: no walk may recurse
+    depth = 3000
+    classes = "".join(
+        f'<owl:Class rdf:about="#c{i}"><rdfs:subClassOf rdf:resource="#c{i - 1}"/></owl:Class>'
+        for i in range(depth - 1, 0, -1)
+    )
+    owl = tmp_path / "chain.owl"
+    owl.write_text(
+        '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" '
+        'xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#" '
+        f'xmlns:owl="http://www.w3.org/2002/07/owl#">{classes}</rdf:RDF>',
+        encoding="utf-8")
+    rc = main(["select", "--ontology", str(owl), "--models", "c1,c2997,c2998", "c2999"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.startswith("target: c2999\n  c1  similarity=")
+    assert out.endswith("selected: c2998\n")
+
+
 def test_select_unknown_class(capsys):
     rc = main(["select", "--ontology", ONTOLOGY, "--models", MODELS, "quark"])
     assert rc == 3
@@ -313,6 +333,16 @@ def test_teach_records_outcomes(capsys, monkeypatch, tmp_path):
     kb = KnowledgeBase.load(kb_path)
     rec = kb.query(ExperienceKey("default", "default", "wine_glass", "mug"))
     assert (rec.n_success, rec.n_failure) == (2, 1)
+
+
+def test_teach_own_model_records_nothing(capsys, monkeypatch, tmp_path):
+    rc, kb_path = run_teach(monkeypatch, "y\nq\n", tmp_path, target="apple")
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "attempt model 'apple' on object 'apple'" in out
+    assert "ran the own model of 'apple': success; nothing recorded" in out
+    assert "recorded success" not in out
+    assert len(KnowledgeBase.load(kb_path)) == 0
 
 
 def test_teach_quit_immediately_leaves_store_alone(capsys, monkeypatch, tmp_path):

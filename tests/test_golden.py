@@ -1,0 +1,141 @@
+"""Golden SHA-256 digests of seeded CLI outputs.
+
+The seeded reproducibility contract says equal inputs give byte-identical
+artifacts. These literals pin the bytes for fixed household scenarios, so a
+refactor of the selection round that changes an RNG draw, a selection, a
+store write or a printed line fails here. A deliberate behaviour change
+re-pins them and says why in CHANGES.md.
+"""
+
+import hashlib
+import io
+import json
+
+import pytest
+
+from suitgraph import STRATEGIES, household_taxonomy_path
+from suitgraph.cli import main
+
+ONTOLOGY = str(household_taxonomy_path())
+MODELS = "apple,chips_can,sugar_box,mug,tennis_ball"
+
+# apple has its own model, thing has an empty cluster, the rest transfer
+TARGETS = "tomato_can,apple,thing,wine_glass,cracker_box,banana"
+GT_ENTRIES = {
+    ("tomato_can", "chips_can"): 0.7,
+    ("tomato_can", "sugar_box"): 0.4,
+    ("apple", "apple"): 0.9,
+    ("wine_glass", "mug"): 0.5,
+    ("cracker_box", "chips_can"): 0.3,
+    ("cracker_box", "sugar_box"): 0.8,
+    ("banana", "apple"): 0.6,
+}
+
+SIMULATE_GOLDEN = {
+    "suitability": {
+        "trial_log.json": "11bddebb5eecc0d1aee182d12b6333e028d78d849c403fea65f4ac496c898634",
+        "report.json": "a5b8fb32c2f24eab44bcc668491a92646a89fa13d28957f4397d23347a8dea8a",
+        "kb.json": "37992e6101a9cb4864b5af629bae5bd2db16074436ea81918f0cccb4a5d06ffe",
+    },
+    "random": {
+        "trial_log.json": "43bb61f947decf9285b0bbc49f9c7918fa3e2314040d2f4e80b68965446bc5ac",
+        "report.json": "77ae215400ecfdf62c9d1640fe9cbd1ac32f2ec6942de1fa0d9a98b817af8363",
+        "kb.json": "d8de4c723dc039de431721c3fc8529d27469914380e00888519ce2bf89ded7f6",
+    },
+    "similarity-only": {
+        "trial_log.json": "bca3aaf425e3de1b9836c648bcc1c1ba8b911ea494c2d735a46ae3b3d020c461",
+        "report.json": "77ae215400ecfdf62c9d1640fe9cbd1ac32f2ec6942de1fa0d9a98b817af8363",
+        "kb.json": "d8de4c723dc039de431721c3fc8529d27469914380e00888519ce2bf89ded7f6",
+    },
+    "count-only": {
+        "trial_log.json": "e79bfb93e05944c305c2cb30f04170d7fa39937248abbbd36b419f567ccd1526",
+        "report.json": "f81ba4e3dbbeadfecce0643beb94e39df70e50e764d8e46d104a2eaaa1aa206c",
+        "kb.json": "32832844b30ab9b5be027b2b15fbc362bb3e653f549d5498af7ac3c31d7f0750",
+    },
+}
+
+# case -> (extra argv, target, exit code, stdout digest); "KB" is replaced by
+# the kb.json a seeded suitability campaign leaves behind
+SELECT_GOLDEN = {
+    "fresh": ((), "tomato_can", 0,
+        "130542d98a55de641855f686fd04159e9e895c2a24a332a10a43b4ac5f369b91"),
+    "kb": (("--kb", "KB"), "tomato_can", 0,
+        "a4db56e8fd5490973c5e7a3aadabe3e5e87f0e23c8286cefa86f118ae5be115b"),
+    "kb-cracker": (("--kb", "KB"), "cracker_box", 0,
+        "bd45fcd7c0f46de5bbab1db7262437c3637eaa8476d7aecb1f8a18295ee1e241"),
+    "reset-posteriors": (("--kb", "KB", "--reset-posteriors"), "tomato_can", 0,
+        "4435bc385978d5e8578e5ced36411334927791df62c5e5fd02af8b8826feb593"),
+    "ancestor-model": (("--models", "container"), "wine_glass", 0,
+        "01511fa75a073eba568e2bc41b3ae46f203dadda30d580271a069e2dfa204619"),
+    "max-ancestors": (("--models", "container", "--max-ancestors", "1"), "wine_glass", 0,
+        "c5ee8bea2dc02423e93e00e885d091210d3c86bca86a10ee065b017477687bc9"),
+    "own-model": ((), "apple", 0,
+        "7fbe0a8a66aecad2d5470210edae5e93bdb902d83237e22c6fb8d5f94f6c8862"),
+    "empty-cluster": ((), "thing", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+TEACH_GOLDEN = {
+    "kb.json": "3aecc7a70fc07bd09a8a842e6d97545026c6ffa0835c81d422ee1df244aebe7b",
+    "stdout": "4079180054232f0dd6b9aa77c42094add4d3b90959f6ce71f2c19221c8d982ae",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_gt(tmp_path):
+    doc = {
+        "default": 0.1,
+        "entries": [{"target": t, "model": m, "p": p} for (t, m), p in GT_ENTRIES.items()],
+    }
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def run_simulate(tmp_path, strategy):
+    out = tmp_path / strategy
+    rc = main(["simulate", "--ontology", ONTOLOGY, "--models", MODELS,
+               "--gt", write_gt(tmp_path), "--targets", TARGETS, "--trials", "12",
+               "--strategy", strategy, "--seed", "7", "--out", str(out)])
+    assert rc == 0
+    return out
+
+
+@pytest.fixture(autouse=True)
+def clean_seed_env(monkeypatch):
+    monkeypatch.delenv("SUITGRAPH_SEED", raising=False)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_simulate_golden(strategy, tmp_path, capsys):
+    out = run_simulate(tmp_path, strategy)
+    capsys.readouterr()
+    got = {name: sha256((out / name).read_bytes()) for name in SIMULATE_GOLDEN[strategy]}
+    assert got == SIMULATE_GOLDEN[strategy]
+
+
+@pytest.mark.parametrize("case", sorted(SELECT_GOLDEN))
+def test_select_golden(case, tmp_path, capsys):
+    extra, target, code, digest = SELECT_GOLDEN[case]
+    kb_path = run_simulate(tmp_path, "suitability") / "kb.json"
+    before = kb_path.read_bytes()
+    capsys.readouterr()
+    argv = ["select", "--ontology", ONTOLOGY, "--models", MODELS, "--seed", "3"]
+    argv += [str(kb_path) if arg == "KB" else arg for arg in extra]
+    rc = main(argv + [target])
+    assert (rc, sha256(capsys.readouterr().out.encode("utf-8"))) == (code, digest)
+    assert kb_path.read_bytes() == before
+
+
+def test_teach_golden(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("y\nn\ny\nq\n"))
+    kb_path = tmp_path / "kb.json"
+    rc = main(["teach", "--ontology", ONTOLOGY, "--models", MODELS,
+               "--kb", str(kb_path), "--seed", "11", "tomato_can"])
+    assert rc == 0
+    got = {"kb.json": sha256(kb_path.read_bytes()),
+           "stdout": sha256(capsys.readouterr().out.encode("utf-8"))}
+    assert got == TEACH_GOLDEN

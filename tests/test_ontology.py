@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 
@@ -406,6 +407,38 @@ def test_wup_symmetric_bounded(parent):
 def test_round_trip_random_trees(parent):
     h = ClassHierarchy(parent)
     assert parse_json_tree(h.to_json_tree()) == h
+
+
+def reference_tree_dict(h, name):
+    node = {"name": name}
+    if h.children(name):
+        node["children"] = [reference_tree_dict(h, k) for k in h.children(name)]
+    return node
+
+
+@given(parent_maps())
+@settings(max_examples=60)
+def test_serialization_matches_json_dumps(parent):
+    h = ClassHierarchy(parent)
+    tree = reference_tree_dict(h, h.root)
+    for indent in (None, 0, 2):
+        assert h.to_json_tree(indent=indent) == json.dumps(tree, indent=indent)
+    compact = json.dumps(tree, separators=(",", ":")).encode("utf-8")
+    assert h.checksum() == hashlib.sha256(compact).hexdigest()
+
+
+def test_deep_chain_children_declared_first():
+    depth = 3000
+    names = [f"c{i}" for i in range(depth)]
+    parent = {names[i]: names[i - 1] for i in range(depth - 1, 0, -1)}
+    parent[names[0]] = None
+    h = ClassHierarchy(parent)
+    assert h.depth(names[-1]) == depth
+    compact = (
+        "".join('{"name":"%s","children":[' % n for n in names[:-1])
+        + '{"name":"%s"}' % names[-1] + "]}" * (depth - 1)
+    )
+    assert h.checksum() == hashlib.sha256(compact.encode("utf-8")).hexdigest()
 
 
 @given(parent_maps())

@@ -401,7 +401,6 @@ def test_generalisation_missing_sibling_record():
 
 def test_generalisation_empty_siblings_strict_by_default():
     assert generalisation_check("apple", set(), {}, CFG) is False
-    assert generalisation_check("apple", set(), {}, CFG, strict_empty=False) is True
 
 
 def test_specification_wine_glass_oracle():
@@ -547,6 +546,48 @@ def test_round_records_outcome_and_snapshots(household):
     assert (other_rec.n_success, other_rec.n_failure) == (0, 0)
     assert other_rec.posterior == trace["posteriors"][other]
     assert sum(trace["posteriors"].values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_round_counts_in_trace_match_store(household):
+    kb = KnowledgeBase(CFG)
+    kb.append(grasp_key("tomato_can", "chips_can"), False, 0.5)
+    rng = make_rng(7)
+    for outcome in (True, False, True):
+        trace = {}
+        generalise_execution_model(
+            "tomato_can", household, FIXTURE_MODELS, kb, CFG,
+            lambda o, m: outcome, rng, action="grasp", trace=trace)
+        for cand, counts in trace["counts"].items():
+            rec = kb.query(grasp_key("tomato_can", cand))
+            assert counts == (rec.n_success, rec.n_failure)
+
+
+def test_round_dry_run_selects_like_real_round(household):
+    kb = KnowledgeBase(CFG)
+    kb.append(grasp_key("tomato_can", "chips_can"), True, 0.7)
+    before = kb.export_json()
+    dry, real = {}, {}
+    result = generalise_execution_model(
+        "tomato_can", household, FIXTURE_MODELS, kb, CFG, None, make_rng(3),
+        action="grasp", trace=dry)
+    real_selected, _ = generalise_execution_model(
+        "tomato_can", household, FIXTURE_MODELS, KnowledgeBase.import_json(before), CFG,
+        lambda o, m: False, make_rng(3), action="grasp", trace=real)
+    assert result == (real_selected, None)
+    assert kb.export_json() == before
+    assert dry["selected"] == real_selected
+    assert dry["outcome"] is None
+    for name in ("candidates", "similarities", "estimates", "posteriors"):
+        assert dry[name] == real[name]
+    assert dry["counts"] == {"chips_can": (1, 0), "sugar_box": (0, 0)}
+
+
+def test_round_dry_run_own_model_executes_nothing(household):
+    trace = {}
+    assert generalise_execution_model(
+        "apple", household, FIXTURE_MODELS, KnowledgeBase(CFG), CFG, None, make_rng(0),
+        trace=trace) == ("apple", None)
+    assert trace["own_model"] is True
 
 
 def test_round_posteriors_persist_across_calls(household):
