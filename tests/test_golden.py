@@ -13,7 +13,18 @@ import json
 
 import pytest
 
-from suitgraph import STRATEGIES, household_taxonomy_path
+from suitgraph import (
+    STRATEGIES,
+    CampaignConfig,
+    GroundTruthMatrix,
+    KnowledgeBase,
+    household_taxonomy_path,
+    load_hierarchy,
+    parse_json_tree,
+    report_json,
+    run_campaign,
+    summarize,
+)
 from suitgraph.cli import main
 
 ONTOLOGY = str(household_taxonomy_path())
@@ -139,3 +150,92 @@ def test_teach_golden(tmp_path, capsys, monkeypatch):
     got = {"kb.json": sha256(kb_path.read_bytes()),
            "stdout": sha256(capsys.readouterr().out.encode("utf-8"))}
     assert got == TEACH_GOLDEN
+
+
+# a campaign continued from the kb.json of a seeded campaign with every
+# household model; its posterior snapshots do not sum to exactly 1, so the
+# first round of each target renormalises them (or, with --reset-posteriors,
+# drops them)
+KB_MODELS = "apple,banana,chips_can,container,cracker_box,mug,pitcher,sugar_box,tennis_ball"
+KB_TARGETS = "tomato_can,mustard_container,drinkware,wine_glass,orange"
+SIMULATE_KB_GOLDEN = {
+    "kb": ((), {
+        "trial_log.json": "385d106bc3a7d9306340b88f5c76ea54124bb93f33d732210d6838fd410a8db1",
+        "report.json": "4a1269f013e593da23b12830fe9ded6548f61a93a69c31473533df34b1d73024",
+        "kb.json": "172ad5768ebdc735893ef3ca0b2e5fbcb774da68c637f4dd48fab46571f8c7f4",
+    }),
+    "kb-reset": (("--reset-posteriors",), {
+        "trial_log.json": "f37afec1fd4b7f2ed59970c2728e6c36ea1ea718cab7ec52ae47c2cdc1971af2",
+        "report.json": "4a1269f013e593da23b12830fe9ded6548f61a93a69c31473533df34b1d73024",
+        "kb.json": "b569ce992fc0844dcf5a5533ab127064c5db390a1b8c8b22d7142fef7d140f9d",
+    }),
+}
+
+# library campaign with a per-(target, candidate) similarity override
+OVERRIDE_GOLDEN = {
+    "trial_log.json": "260f4fe1413fde1668150101c86a517c756c23e0883cb2a3fa27ee654beabb62",
+    "report.json": "e3f05408ce6b36acb65802f511f69ea3ecc5b1a69bd78456f01c24faacebcdbc",
+    "kb.json": "129ab5d843f6f69c3e00b0ec8a6d2ac2a06d8787d743938fbf4fafba075bf86f",
+}
+
+# library campaign over a 48-sibling json-tree: clusters this wide are where a
+# pairwise (numpy) sum would part from the sequential sum of the round
+WIDE_SIBLINGS = 48
+WIDE_GOLDEN = {
+    "trial_log.json": "732d61397ebe979141c1467ea55ce2835f3a94b319d06e06bb6d2571f987aeac",
+    "report.json": "e151a8cc02959bcd591b4136da8edd2ecd077e02284b8e8c05d12e97c52417b5",
+    "kb.json": "7b8f1ec56a380291568f40563c575688c66778e43f7a20709bc2aedd510e68e3",
+}
+
+
+def campaign_digests(config, hierarchy, registry, gt, kb):
+    log = run_campaign(config, hierarchy, registry, gt, kb)
+    return {
+        "trial_log.json": sha256(log.to_json().encode("utf-8")),
+        "report.json": sha256(report_json(summarize(log)).encode("utf-8")),
+        "kb.json": sha256(kb.export_json().encode("utf-8")),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_KB_GOLDEN))
+def test_simulate_from_kb_golden(case, tmp_path, capsys):
+    extra, golden = SIMULATE_KB_GOLDEN[case]
+    gt = write_gt(tmp_path)
+    common = ["simulate", "--ontology", ONTOLOGY, "--models", KB_MODELS, "--gt", gt,
+              "--targets", KB_TARGETS, "--trials", "12"]
+    assert main(common + ["--seed", "2", "--out", str(tmp_path / "seeded")]) == 0
+    kb_path = tmp_path / "seeded" / "kb.json"
+    sums: dict = {}
+    for key, rec in KnowledgeBase.load(kb_path).items():
+        sums[key.target] = sums.get(key.target, 0.0) + rec.posterior
+    assert any(total != 1.0 for total in sums.values())
+
+    out = tmp_path / case
+    assert main(common + ["--seed", "5", "--kb", str(kb_path), "--out", str(out), *extra]) == 0
+    capsys.readouterr()
+    assert {name: sha256((out / name).read_bytes()) for name in golden} == golden
+
+
+def test_run_campaign_similarity_override_golden():
+    hierarchy = load_hierarchy(ONTOLOGY)
+    override = {("tomato_can", "chips_can"): 0.35, ("cracker_box", "sugar_box"): 0.95,
+                ("wine_glass", "mug"): 0.5}
+    config = CampaignConfig(targets=("tomato_can", "cracker_box", "wine_glass"),
+                            trials_per_object=15, seed=2, similarity_override=override)
+    gt = GroundTruthMatrix(GT_ENTRIES, default=0.1)
+    kb = KnowledgeBase(config.cfg, hierarchy.checksum())
+    registry = frozenset(MODELS.split(","))
+    assert campaign_digests(config, hierarchy, registry, gt, kb) == OVERRIDE_GOLDEN
+
+
+def test_wide_sibling_campaign_golden():
+    models = [f"m{i:02d}" for i in range(WIDE_SIBLINGS)]
+    targets = ("t0", "t1")
+    tree = {"name": "thing", "children": [{"name": "bin", "children": [
+        {"name": n} for n in models + list(targets)]}]}
+    hierarchy = parse_json_tree(json.dumps(tree))
+    gt = GroundTruthMatrix({(t, m): ((7 * i + 13 * j) % 90 + 5) / 100
+                            for j, t in enumerate(targets) for i, m in enumerate(models)})
+    config = CampaignConfig(targets=targets, trials_per_object=8, seed=4)
+    kb = KnowledgeBase(config.cfg, hierarchy.checksum())
+    assert campaign_digests(config, hierarchy, frozenset(models), gt, kb) == WIDE_GOLDEN
