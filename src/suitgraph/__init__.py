@@ -36,7 +36,6 @@ from .simulate import (
 )
 from .store import SCHEMA_VERSION, KnowledgeBase, SchemaError
 from .suitability import (
-    CandidateState,
     EmptyClusterError,
     ExperienceKey,
     ExperienceRecord,

@@ -297,15 +297,28 @@ class ClassHierarchy:
 
 
 def parse_json_tree(text: str) -> ClassHierarchy:
-    """Parse the nested json-tree format."""
+    """Parse the nested json-tree format.
+
+    ``json.loads`` recurses once per nesting level, and every taxonomy level
+    nests an object and an array, so a tree a few hundred levels deep
+    exceeds the interpreter's recursion limit; that is reported as an
+    OntologyError (the OWL form has no nesting). The walk over the decoded
+    tree is iterative.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise OntologyError(f"malformed json-tree: {exc}") from exc
+    except RecursionError:
+        raise OntologyError(
+            "json-tree nested too deeply to decode; write deep taxonomies in the OWL subset") from None
 
     parent: dict[str, str | None] = {}
-
-    def walk(node, par: str | None) -> None:
+    # preorder with an explicit stack: the same visiting order, and so the
+    # same first error, as a recursive walk
+    stack: list = [(doc, None)]
+    while stack:
+        node, par = stack.pop()
         if not isinstance(node, dict):
             raise OntologyError(f"malformed json-tree: expected an object, got {type(node).__name__}")
         name = node.get("name")
@@ -317,10 +330,7 @@ def parse_json_tree(text: str) -> ClassHierarchy:
         children = node.get("children", [])
         if not isinstance(children, list):
             raise OntologyError(f"malformed json-tree: 'children' of {name!r} must be an array", class_id=name)
-        for child in children:
-            walk(child, name)
-
-    walk(doc, None)
+        stack.extend((child, name) for child in reversed(children))
     return ClassHierarchy(parent)
 
 

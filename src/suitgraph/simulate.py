@@ -6,8 +6,11 @@ single seeded PCG64 generator. Reproducibility contract: equal
 byte-identical trial logs and reports. The generator is consumed in a fixed
 documented order per round:
 
-1. one beta draw array (``beta_sample_count`` values) per candidate, in
-   sorted candidate order, during the posterior update;
+1. one beta draw array of shape (k, ``beta_sample_count``) for the k
+   candidates, rows in sorted candidate order, during the posterior update;
+   it is the same stream as one array of ``beta_sample_count`` values per
+   candidate drawn in sorted order, and leaves the generator in the same
+   state;
 2. one integer draw for tie-breaking, only when the selection rule actually
    ties (posterior argmax, similarity argmax, count argmax) or when the
    strategy is ``random`` (which always draws);
@@ -38,8 +41,10 @@ from .suitability import (
     SuitabilityConfig,
     SuitabilityGraph,
     argmax_random_ties,
+    beta_parameter_columns,
     deterministic_success_probability,
     generalise_execution_model,
+    store_posteriors,
 )
 
 STRATEGIES = ("suitability", "random", "similarity-only", "count-only")
@@ -124,19 +129,16 @@ def baseline_select(strategy: str, graph: SuitabilityGraph, rng: np.random.Gener
     ``count-only`` ignores the taxonomy (deterministic posterior mean under
     the graph's priors). Ties break uniformly at random like select_model.
     """
-    names = sorted(graph.candidates)
+    names = graph.candidates
     if not names:
         raise EmptyClusterError(graph.target)
     if strategy == "random":
         return names[int(rng.integers(len(names)))]
     if strategy == "similarity-only":
-        return argmax_random_ties(graph.similarities(), rng)
+        return argmax_random_ties(names, graph.similarity, rng)
     if strategy == "count-only":
-        means = {
-            n: deterministic_success_probability(graph.candidates[n].record, graph.cfg)
-            for n in names
-        }
-        return argmax_random_ties(means, rng)
+        a, b = beta_parameter_columns(graph.n_success, graph.n_failure, graph.cfg)
+        return argmax_random_ties(names, a / (a + b), rng)
     raise ValueError(f"unknown baseline strategy {strategy!r}; expected one of {STRATEGIES[1:]}")
 
 
@@ -251,8 +253,11 @@ def run_campaign(
     """Run the campaign; returns the trial log, mutating ``store`` in place.
 
     A fresh store bound to the hierarchy is created when none is given.
-    Posterior mass is checked after every round that built a graph; drift
-    beyond NORMALIZATION_TOLERANCE raises NormalizationError.
+    Each target's suitability graph lives for all of the target's rounds:
+    every round records its outcome, and the posterior snapshots are
+    written once, after the target's last round. Posterior mass is checked
+    after every round that selected from a graph; drift beyond
+    NORMALIZATION_TOLERANCE raises NormalizationError.
     """
     registry = frozenset(registry)
     for target in config.targets:
@@ -282,6 +287,7 @@ def run_campaign(
             # own-model rounds skip clustering; the log still reports the cluster size
             own_cluster_size = len(hierarchy.object_cluster(
                 target, registry.__contains__, max_ancestor_hops=config.max_ancestor_hops))
+        beliefs: dict = {}
         for trial in range(config.trials_per_object):
             trace: dict = {}
             generalise_execution_model(
@@ -289,10 +295,11 @@ def run_campaign(
                 action=config.action, mode=config.mode,
                 selector=selector,
                 similarity_override=override,
-                # discard persisted posteriors once per target, not per round
-                reset_posteriors=(config.reset_posteriors and trial == 0),
+                # applies when the target's graph is built, in its first round
+                reset_posteriors=config.reset_posteriors,
                 max_ancestor_hops=config.max_ancestor_hops,
                 trace=trace,
+                beliefs=beliefs,
             )
 
             posteriors = trace["posteriors"]
@@ -316,6 +323,8 @@ def run_campaign(
                 posteriors=posteriors,
                 counts=trace["counts"],
             ))
+        for graph in beliefs.values():
+            store_posteriors(graph, store)
     return TrialLog(config, steps)
 
 

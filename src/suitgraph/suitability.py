@@ -19,9 +19,10 @@ remains representable.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Collection, Mapping
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -155,47 +156,74 @@ def deterministic_success_probability(record: ExperienceRecord, cfg: Suitability
     return a / (a + b)
 
 
+def beta_parameter_columns(n_success: np.ndarray, n_failure: np.ndarray,
+                           cfg: SuitabilityConfig) -> tuple[np.ndarray, np.ndarray]:
+    """beta_parameters for every row of the count columns."""
+    return (np.maximum(cfg.alpha0 + n_success - 1.0, PARAM_FLOOR),
+            np.maximum(cfg.beta0 + n_failure - 1.0, PARAM_FLOOR))
+
+
+def sampled_success_probabilities(n_success: np.ndarray, n_failure: np.ndarray,
+                                  cfg: SuitabilityConfig, rng: np.random.Generator) -> list[float]:
+    """success_probability for every row of the count columns, in one beta draw.
+
+    Row i draws what success_probability would draw for candidate i, and the
+    generator ends in the same state as after those calls made in row order:
+    the draw array is filled in row-major order, and each row mean reduces a
+    contiguous row exactly as the mean of a one-candidate draw does.
+    """
+    a, b = beta_parameter_columns(n_success, n_failure, cfg)
+    draws = rng.beta(a[:, None], b[:, None], size=(len(a), cfg.beta_sample_count))
+    return np.clip(draws.mean(axis=1), _ESTIMATE_EPS, 1.0 - _ESTIMATE_EPS).tolist()
+
+
 # estimator signature: (candidate, record, cfg, rng) -> probability in (0, 1]
 Estimator = Callable[[str, ExperienceRecord, SuitabilityConfig, np.random.Generator], float]
 
 
-def _sampled_estimator(candidate: str, record: ExperienceRecord, cfg: SuitabilityConfig,
-                       rng: np.random.Generator) -> float:
-    return success_probability(record, cfg, rng)
-
-
-@dataclass
-class CandidateState:
-    """Per-candidate edge state: fixed similarity, evolving record."""
-
-    similarity: float
-    record: ExperienceRecord
-
-
-@dataclass
+@dataclass(eq=False)
 class SuitabilityGraph:
-    """Belief state over one target's candidate models.
+    """Belief state over one target's candidate models, held as columns.
 
-    Candidate keys are exactly the object cluster members at construction
-    time; similarities are fixed for the graph's lifetime; posteriors always
-    sum to 1 after an update.
+    ``candidates`` lists the object cluster members at construction time in
+    sorted order, and row i of every column belongs to ``candidates[i]``:
+    the fixed similarity, the outcome counts (n+, n-) and the posterior.
+    Posteriors always sum to 1 after an update.
     """
 
     target: str
     action: str
     mode: str
     cfg: SuitabilityConfig
-    candidates: dict[str, CandidateState]
+    candidates: list[str]
+    similarity: np.ndarray
+    n_success: np.ndarray
+    n_failure: np.ndarray
+    post: np.ndarray
     last_estimates: dict[str, float] = field(default_factory=dict)
+    log_similarity: list[float] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.log_similarity = [math.log(s) for s in self.similarity.tolist()]
+
+    def index(self, candidate: str) -> int:
+        """Row of ``candidate``; KeyError when it is not a cluster member."""
+        i = bisect.bisect_left(self.candidates, candidate)
+        if i == len(self.candidates) or self.candidates[i] != candidate:
+            raise KeyError(candidate)
+        return i
 
     def posterior(self, candidate: str) -> float:
-        return self.candidates[candidate].record.posterior
+        return float(self.post[self.index(candidate)])
 
     def posteriors(self) -> dict[str, float]:
-        return {name: state.record.posterior for name, state in self.candidates.items()}
+        return dict(zip(self.candidates, self.post.tolist()))
 
     def similarities(self) -> dict[str, float]:
-        return {name: state.similarity for name, state in self.candidates.items()}
+        return dict(zip(self.candidates, self.similarity.tolist()))
+
+    def counts(self) -> dict[str, tuple[int, int]]:
+        return dict(zip(self.candidates, zip(self.n_success.tolist(), self.n_failure.tolist())))
 
 
 def init_graph(
@@ -205,20 +233,23 @@ def init_graph(
     action: str = "default",
     mode: str = "default",
 ) -> SuitabilityGraph:
-    """Graph over the cluster with uniform posteriors and empty records."""
+    """Graph over the cluster with uniform posteriors and zero counts."""
     if not cluster.members:
         raise EmptyClusterError(cluster.target)
-    uniform = 1.0 / len(cluster.members)
-    candidates: dict[str, CandidateState] = {}
-    for member in sorted(cluster.members):
+    names = sorted(cluster.members)
+    sims = []
+    for member in names:
         try:
             s = float(similarities[member])
         except KeyError:
             raise ValueError(f"missing similarity for candidate {member!r}") from None
         if not (0.0 < s <= 1.0):
             raise ValueError(f"similarity for {member!r} must lie in (0, 1], got {s!r}")
-        candidates[member] = CandidateState(s, ExperienceRecord(posterior=uniform))
-    return SuitabilityGraph(cluster.target, action, mode, cfg, candidates)
+        sims.append(s)
+    k = len(names)
+    zeros = np.zeros(k, dtype=np.int64)
+    return SuitabilityGraph(cluster.target, action, mode, cfg, names, np.array(sims),
+                            zeros, zeros.copy(), np.full(k, 1.0 / k))
 
 
 def update_posteriors(
@@ -231,65 +262,64 @@ def update_posteriors(
 
     Per candidate: similarity * success_estimate * previous posterior,
     accumulated in log space, shifted by the maximum, exponentiated, and
-    normalized. Candidates are visited in sorted name order, consuming one
-    estimator call each; this ordering is part of the reproducibility
-    contract. A candidate whose posterior has reached exactly 0 stays at 0.
-    Raises NormalizationError if every candidate vanished.
+    normalized. The sampled estimates come from one beta draw over all
+    candidates in sorted name order (sampled_success_probabilities); this
+    ordering is part of the reproducibility contract. A candidate whose
+    posterior has reached exactly 0 stays at 0. Raises NormalizationError
+    if every candidate vanished.
 
     ``estimator`` replaces the sampled beta estimate when given (tests stub
-    it with constants); it must return values in (0, 1].
+    it with constants): it is called once per candidate in sorted order and
+    must return values in (0, 1].
     """
-    names = sorted(graph.candidates)
+    names = graph.candidates
     if not names:
         raise EmptyClusterError(graph.target)
-    est_fn = estimator if estimator is not None else _sampled_estimator
+    post = graph.post.tolist()
+    if estimator is None:
+        estimates = sampled_success_probabilities(graph.n_success, graph.n_failure, cfg, rng)
+    else:
+        estimates = []
+        for name, ns, nf, prior in zip(names, graph.n_success.tolist(), graph.n_failure.tolist(), post):
+            p = float(estimator(name, ExperienceRecord(ns, nf, prior), cfg, rng))
+            if not (0.0 < p <= 1.0) or not math.isfinite(p):
+                raise ValueError(f"success estimate for {name!r} must lie in (0, 1], got {p!r}")
+            estimates.append(p)
 
-    estimates: dict[str, float] = {}
-    log_unnorm: dict[str, float] = {}
-    for name in names:
-        state = graph.candidates[name]
-        p = float(est_fn(name, state.record, cfg, rng))
-        if not (0.0 < p <= 1.0) or not math.isfinite(p):
-            raise ValueError(f"success estimate for {name!r} must lie in (0, 1], got {p!r}")
-        estimates[name] = p
-        prior = state.record.posterior
-        if prior <= 0.0:
-            log_unnorm[name] = -math.inf
-        else:
-            log_unnorm[name] = math.log(state.similarity) + math.log(p) + math.log(prior)
-
-    shift = max(log_unnorm.values())
+    # math.log/exp per element and a sequential sum: numpy's log, exp and
+    # pairwise sum differ from them in the last bit, which changes selections
+    log_unnorm = [
+        log_s + math.log(p) + math.log(prior) if prior > 0.0 else -math.inf
+        for log_s, p, prior in zip(graph.log_similarity, estimates, post)
+    ]
+    shift = max(log_unnorm)
     if shift == -math.inf:
         raise NormalizationError(f"all candidate posteriors vanished for target {graph.target!r}")
-    weights = {name: math.exp(v - shift) for name, v in log_unnorm.items()}
-    total = sum(weights.values())
-    for name in names:
-        state = graph.candidates[name]
-        state.record = replace(state.record, posterior=weights[name] / total)
-    graph.last_estimates = estimates
+    weights = [math.exp(v - shift) for v in log_unnorm]
+    graph.post = np.array(weights) / sum(weights)
+    graph.last_estimates = dict(zip(names, estimates))
     return graph
 
 
-def argmax_random_ties(values: Mapping[str, float], rng: np.random.Generator) -> str:
-    """Key with the maximal value; ties broken uniformly at random.
+def argmax_random_ties(names: Sequence[str], values, rng: np.random.Generator) -> str:
+    """Name with the maximal value; ties broken uniformly at random.
 
-    Keys are visited in sorted order and values within TIE_TOLERANCE of the
-    maximum count as tied. The tie draw is consumed only when there actually
-    is a tie.
+    ``names`` are sorted and ``values`` aligned with them. Values within
+    TIE_TOLERANCE of the maximum count as tied. The tie draw is consumed
+    only when there actually is a tie.
     """
-    names = sorted(values)
-    best = max(values[n] for n in names)
-    tied = [n for n in names if best - values[n] <= TIE_TOLERANCE]
+    values = np.asarray(values, dtype=float)
+    tied = np.flatnonzero(values.max() - values <= TIE_TOLERANCE)
     if len(tied) == 1:
-        return tied[0]
-    return tied[int(rng.integers(len(tied)))]
+        return names[tied[0]]
+    return names[tied[int(rng.integers(len(tied)))]]
 
 
 def select_model(graph: SuitabilityGraph, rng: np.random.Generator) -> str:
     """Candidate with the maximal posterior; ties broken uniformly at random."""
     if not graph.candidates:
         raise EmptyClusterError(graph.target)
-    return argmax_random_ties(graph.posteriors(), rng)
+    return argmax_random_ties(graph.candidates, graph.post, rng)
 
 
 # -- decision heuristics -----------------------------------------------------
@@ -349,6 +379,14 @@ def specification_check(
 Selector = Callable[[SuitabilityGraph, np.random.Generator], str]
 
 
+def _normalised(snapshots: list[float]) -> np.ndarray:
+    """Snapshots divided by their sequential sum; uniform when none has mass."""
+    total = sum(snapshots)
+    if total > 0.0:
+        return np.array(snapshots) / total
+    return np.full(len(snapshots), 1.0 / len(snapshots))
+
+
 def graph_from_store(
     cluster: ObjectCluster,
     hierarchy: ClassHierarchy,
@@ -375,24 +413,24 @@ def graph_from_store(
         else:
             sims[member] = hierarchy.wup_similarity(cluster.target, member)
     graph = init_graph(cluster, sims, cfg, action, mode)
-    uniform = 1.0 / len(cluster.members)
-
-    for member in sorted(cluster.members):
+    snapshots = graph.post.tolist()
+    for i, member in enumerate(graph.candidates):
         stored = store.query(ExperienceKey(action, mode, cluster.target, member))
         if stored is None:
             continue
-        post = uniform if reset_posteriors else stored.posterior
-        graph.candidates[member].record = ExperienceRecord(stored.n_success, stored.n_failure, post)
-
+        graph.n_success[i] = stored.n_success
+        graph.n_failure[i] = stored.n_failure
+        snapshots[i] = stored.posterior
     if not reset_posteriors:
-        total = sum(state.record.posterior for state in graph.candidates.values())
-        if total > 0.0:
-            for state in graph.candidates.values():
-                state.record = replace(state.record, posterior=state.record.posterior / total)
-        else:
-            for state in graph.candidates.values():
-                state.record = replace(state.record, posterior=uniform)
+        graph.post = _normalised(snapshots)
     return graph
+
+
+def store_posteriors(graph: SuitabilityGraph, store, skip: str | None = None) -> None:
+    """Write the posterior snapshot of every candidate but ``skip`` to the store."""
+    for name, posterior in zip(graph.candidates, graph.post.tolist()):
+        if name != skip:
+            store.set_posterior(ExperienceKey(graph.action, graph.mode, graph.target, name), posterior)
 
 
 def generalise_execution_model(
@@ -411,6 +449,7 @@ def generalise_execution_model(
     reset_posteriors: bool = False,
     max_ancestor_hops: int | None = None,
     trace: dict | None = None,
+    beliefs: dict | None = None,
 ) -> tuple[str | None, bool | None]:
     """One execution round for ``target``: select, execute, record.
 
@@ -418,24 +457,41 @@ def generalise_execution_model(
 
     1. ``target`` already has its own model -> execute it directly and return
        (target, outcome); the store is not touched.
-    2. Otherwise build the object cluster. Empty cluster -> return
-       (None, None); the caller must learn a new model (specification).
-    3. Otherwise rebuild the graph from the store, run one posterior update,
-       pick a candidate (``selector`` overrides the posterior argmax for
-       ablation baselines), execute its model on ``target``, record the
-       outcome under (action, mode, target, candidate), and persist posterior
-       snapshots for every cluster member.
+    2. Otherwise build the object cluster, unless ``beliefs`` holds the
+       target's graph. Empty cluster -> return (None, None); the caller
+       must learn a new model (specification).
+    3. Otherwise build the graph from the store (or reuse it), run one
+       posterior update, pick a candidate (``selector`` overrides the
+       posterior argmax for ablation baselines), execute its model on
+       ``target``, record the outcome under (action, mode, target,
+       candidate), and persist posterior snapshots for every cluster member
+       (with ``beliefs``, the caller does that).
 
-    ``executor(target, model_class) -> bool`` performs the actual attempt.
-    If it raises, the store is left untouched. ``executor=None`` is a dry
-    run: the round selects as a real one would and returns (selected, None),
+    ``executor(target, model_class) -> bool`` performs the attempt. If it
+    raises, the store is left untouched. ``executor=None`` is a dry run:
+    the round selects as a real one would and returns (selected, None),
     executing nothing and writing nothing to the store. ``trace``, when
     given, is filled before the executor runs with the round's candidates,
     similarities, estimates, posteriors, (n_success, n_failure) counts and
     flags; the selected candidate's counts then include the outcome.
+    ``reset_posteriors`` discards stored posteriors when the graph is built
+    from the store.
+
+    ``beliefs`` keeps graphs alive across the rounds of one caller. With
+    None, every round builds the graph from the store and writes all the
+    snapshots back. With a dict, the first round of (action, mode, target)
+    builds the graph and keeps it there; later rounds reuse it, dividing
+    its snapshots by their sum exactly as a rebuild from the store would,
+    and record only the outcome (``store.append``). The caller then writes
+    the snapshots with ``store_posteriors`` for each graph in the dict. A
+    kept graph never looks at the store, registry or taxonomy again, so the
+    dict is valid only while nothing else changes them; after an executor
+    error, drop it. Dry runs read the store and take no ``beliefs``.
     """
     if target not in hierarchy:
         raise UnknownClassError(target)
+    if beliefs is not None and executor is None:
+        raise ValueError("a dry run reads the store and takes no beliefs")
     if trace is None:
         trace = {}
     trace.update(
@@ -450,37 +506,45 @@ def generalise_execution_model(
             trace["outcome"] = bool(executor(target, target))
         return target, trace["outcome"]
 
-    cluster = hierarchy.object_cluster(target, registry.__contains__, max_ancestor_hops=max_ancestor_hops)
-    if not cluster.members:
-        trace.update(specification_needed=True)
-        return None, None
+    graph = beliefs.get((action, mode, target)) if beliefs is not None else None
+    if graph is None:
+        cluster = hierarchy.object_cluster(target, registry.__contains__, max_ancestor_hops=max_ancestor_hops)
+        if not cluster.members:
+            trace.update(specification_needed=True)
+            return None, None
+        graph = graph_from_store(
+            cluster, hierarchy, store, cfg,
+            action=action, mode=mode,
+            similarity_override=similarity_override,
+            reset_posteriors=reset_posteriors,
+        )
+        if beliefs is not None:
+            beliefs[action, mode, target] = graph
+    else:
+        graph.post = _normalised(graph.post.tolist())
 
-    graph = graph_from_store(
-        cluster, hierarchy, store, cfg,
-        action=action, mode=mode,
-        similarity_override=similarity_override,
-        reset_posteriors=reset_posteriors,
-    )
     update_posteriors(graph, cfg, rng)
     chosen = selector(graph, rng) if selector is not None else select_model(graph, rng)
-    if chosen not in graph.candidates:
-        raise ValueError(f"selector returned {chosen!r}, not a cluster member")
+    try:
+        row = graph.index(chosen)
+    except (KeyError, TypeError):
+        raise ValueError(f"selector returned {chosen!r}, not a cluster member") from None
     trace.update(
         selected=chosen,
-        candidates=sorted(graph.candidates),
+        candidates=list(graph.candidates),
         similarities=graph.similarities(),
         estimates=graph.last_estimates,
         posteriors=graph.posteriors(),
-        counts={n: (s.record.n_success, s.record.n_failure) for n, s in graph.candidates.items()},
-        cluster_size=len(cluster),
+        counts=graph.counts(),
+        cluster_size=len(graph.candidates),
     )
     if executor is None:
         return chosen, None
 
     outcome = trace["outcome"] = bool(executor(target, chosen))
-    record = store.append(ExperienceKey(action, mode, target, chosen), outcome, graph.posterior(chosen))
+    record = store.append(ExperienceKey(action, mode, target, chosen), outcome, graph.post[row])
+    graph.n_success[row], graph.n_failure[row] = record.n_success, record.n_failure
     trace["counts"][chosen] = (record.n_success, record.n_failure)
-    for member in sorted(graph.candidates):
-        if member != chosen:
-            store.set_posterior(ExperienceKey(action, mode, target, member), graph.posterior(member))
+    if beliefs is None:
+        store_posteriors(graph, store, skip=chosen)
     return chosen, outcome

@@ -9,21 +9,23 @@ import math
 import re
 import time
 
+import numpy as np
+
 from conftest import FIXTURE_CLUSTER_SIZES, FIXTURE_MODELS, make_rng, random_parent_map
 
 from suitgraph import (
     CampaignConfig,
-    CandidateState,
     ClassHierarchy,
     ExperienceKey,
     ExperienceRecord,
     GroundTruthMatrix,
     KnowledgeBase,
+    ObjectCluster,
     SuitabilityConfig,
-    SuitabilityGraph,
     canonical_dumps,
     deterministic_success_probability,
     household_taxonomy_path,
+    init_graph,
     load_hierarchy,
     parse_json_tree,
     run_campaign,
@@ -117,11 +119,9 @@ def test_criterion_2_threshold_crossing():
 
 def _make_graph(sims, priors):
     cfg = SuitabilityConfig()
-    candidates = {
-        name: CandidateState(sims[name], ExperienceRecord(posterior=priors[name]))
-        for name in sims
-    }
-    return SuitabilityGraph("t", "default", "default", cfg, candidates), cfg
+    graph = init_graph(ObjectCluster("t", frozenset(sims)), sims, cfg)
+    graph.post = np.array([priors[name] for name in graph.candidates])
+    return graph, cfg
 
 
 def _naive(sims, priors, estimates):

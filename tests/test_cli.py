@@ -209,6 +209,21 @@ def test_select_deep_owl_chain(capsys, tmp_path):
     assert out.endswith("selected: c2998\n")
 
 
+@pytest.mark.parametrize("depth", [700, 3000])
+def test_select_too_deep_json_tree_exits_2(depth, capsys, tmp_path):
+    # json.loads recurses per level and gives up; the CLI reports bad input
+    chain = tmp_path / "chain.json"
+    chain.write_text(
+        "".join('{"name": "c%d", "children": [' % i for i in range(depth - 1))
+        + '{"name": "c%d"}' % (depth - 1) + "]}" * (depth - 1),
+        encoding="utf-8")
+    rc = main(["select", "--ontology", str(chain), "--models", "c1,c2", "c3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: json-tree nested too deeply")
+    assert "Traceback" not in err
+
+
 def test_select_unknown_class(capsys):
     rc = main(["select", "--ontology", ONTOLOGY, "--models", MODELS, "quark"])
     assert rc == 3

@@ -441,6 +441,34 @@ def test_deep_chain_children_declared_first():
     assert h.checksum() == hashlib.sha256(compact.encode("utf-8")).hexdigest()
 
 
+def chain_json_tree(depth):
+    return (
+        "".join('{"name": "c%d", "children": [' % i for i in range(depth - 1))
+        + '{"name": "c%d"}' % (depth - 1) + "]}" * (depth - 1)
+    )
+
+
+def test_deep_json_tree_matches_owl_chain():
+    depth = 300
+    classes = "".join(
+        f'<owl:Class rdf:about="#c{i}"><rdfs:subClassOf rdf:resource="#c{i - 1}"/></owl:Class>'
+        for i in range(depth - 1, 0, -1)
+    )
+    h_owl = parse_owl_subset(
+        '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" '
+        'xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#" '
+        f'xmlns:owl="http://www.w3.org/2002/07/owl#">{classes}</rdf:RDF>')
+    h_json = parse_json_tree(chain_json_tree(depth))
+    assert h_json.depth(f"c{depth - 1}") == depth
+    assert h_json == h_owl
+    assert h_json.checksum() == h_owl.checksum()
+
+
+def test_json_tree_too_deep_to_decode_rejected():
+    with pytest.raises(OntologyError, match="nested too deeply"):
+        parse_json_tree(chain_json_tree(3000))
+
+
 @given(parent_maps())
 @settings(max_examples=60)
 def test_relatives_never_contain_self(parent):

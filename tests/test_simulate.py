@@ -1,13 +1,17 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FIXTURE_MODELS, make_rng
+from conftest import FIXTURE_MODELS, make_rng, random_parent_map
 from suitgraph import (
+    STRATEGIES,
     CampaignConfig,
+    ClassHierarchy,
     ExperienceKey,
-    ExperienceRecord,
     GroundTruthMatrix,
     KnowledgeBase,
     SuitabilityConfig,
@@ -21,6 +25,7 @@ from suitgraph import (
     summarize,
     update_posteriors,
 )
+from suitgraph import simulate
 from suitgraph.ontology import ObjectCluster
 
 CFG = SuitabilityConfig()
@@ -131,8 +136,8 @@ def test_baseline_similarity_only():
 
 def test_baseline_count_only():
     g = fresh_graph({"a": 0.5, "b": 0.5})
-    g.candidates["a"].record = ExperienceRecord(9, 1, 0.5)
-    g.candidates["b"].record = ExperienceRecord(1, 9, 0.5)
+    g.n_success[:] = [9, 1]
+    g.n_failure[:] = [1, 9]
     assert baseline_select("count-only", g, make_rng(0)) == "a"
 
 
@@ -290,6 +295,65 @@ def test_run_campaign_similarity_override_logged(household):
     log = run_campaign(config, household, FIXTURE_MODELS, simple_gt())
     for step in log.steps:
         assert step.similarities == {"chips_can": 0.9, "sugar_box": 0.5}
+
+
+def seeded_world(seed):
+    """Random small taxonomy, registry, ground truth and pre-seeded store.
+
+    Stored posteriors are left unnormalised, some are exactly 0, and some
+    targets carry no posterior mass at all.
+    """
+    rng = make_rng(seed)
+    hierarchy = ClassHierarchy(random_parent_map(rng, max_nodes=14))
+    classes = sorted(hierarchy.classes)
+    registry = frozenset(c for c in classes if rng.random() < 0.5)
+    targets = tuple(c for c in classes if rng.random() < 0.6) or (classes[0],)
+    gt = GroundTruthMatrix({(t, m): float(rng.uniform(0.05, 0.95))
+                            for t in targets for m in classes}, default=0.5)
+    cfg = SuitabilityConfig(beta_sample_count=int(rng.integers(1, 12)))
+    kb = KnowledgeBase(cfg, hierarchy.checksum())
+    for t in targets:
+        zero_mass = rng.random() < 0.25
+        for m in sorted(hierarchy.object_cluster(t, registry.__contains__).members):
+            if rng.random() < 0.3:
+                continue
+            key = ExperienceKey("default", "default", t, m)
+            posterior = 0.0 if zero_mass or rng.random() < 0.2 else float(rng.random())
+            kb.set_posterior(key, posterior)
+            for _ in range(int(rng.integers(0, 6))):
+                kb.append(key, bool(rng.random() < 0.5), posterior)
+    overrides = {(t, m): float(rng.uniform(0.1, 1.0)) for t in targets for m in classes
+                 if m != t and rng.random() < 0.3}
+    config = CampaignConfig(
+        targets=targets, trials_per_object=int(rng.integers(1, 8)), cfg=cfg,
+        strategy=STRATEGIES[int(rng.integers(len(STRATEGIES)))], seed=seed,
+        reset_posteriors=bool(rng.random() < 0.3),
+        similarity_override=overrides if rng.random() < 0.5 else None)
+    return config, hierarchy, registry, gt, kb
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60)
+def test_run_campaign_reused_beliefs_equal_rebuild_every_round(seed):
+    config, hierarchy, registry, gt, kb = seeded_world(seed)
+    rebuilt_kb = KnowledgeBase.import_json(kb.export_json())
+    reused = run_campaign(config, hierarchy, registry, gt, kb)
+
+    round_ = simulate.generalise_execution_model
+    built: set = set()
+
+    def rebuild_every_round(target, *args, beliefs, reset_posteriors, **kwargs):
+        # the reference: build from the store and write all snapshots every
+        # round; a reset applies in the target's first round only
+        first = target not in built
+        built.add(target)
+        return round_(target, *args, beliefs=None,
+                      reset_posteriors=reset_posteriors and first, **kwargs)
+
+    with mock.patch.object(simulate, "generalise_execution_model", rebuild_every_round):
+        rebuilt = run_campaign(config, hierarchy, registry, gt, rebuilt_kb)
+    assert reused.to_json() == rebuilt.to_json()
+    assert kb.export_json() == rebuilt_kb.export_json()
 
 
 def test_run_campaign_converges_to_best(household):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +29,7 @@ from suitgraph import (
     success_probability,
     update_posteriors,
 )
+from suitgraph.suitability import PARAM_FLOOR, store_posteriors
 
 CFG = SuitabilityConfig()  # alpha0=3, beta0=3, tau=0.6, 10 draws
 
@@ -210,6 +210,33 @@ def test_update_hand_oracle():
     assert g.last_estimates == {"strong": 0.9, "weak": 0.3}
 
 
+@pytest.mark.parametrize("samples", [1, 10, 33])
+@pytest.mark.parametrize("k", [1, 7, 9, 50])
+def test_batched_draw_matches_per_candidate_calls(k, samples):
+    # alpha0 < 1 and beta0 < 1: zero counts clamp a parameter to PARAM_FLOOR
+    cfg = SuitabilityConfig(alpha0=0.5, beta0=0.8, beta_sample_count=samples)
+    names = [f"c{i:02d}" for i in reversed(range(k))]
+    g = uniform_graph(*names, sims={n: (i + 1) / k for i, n in enumerate(names)}, cfg=cfg)
+    counts = make_rng(k).integers(0, 4, size=(k, 2))
+    counts[0] = 0
+    assert beta_parameters(ExperienceRecord(0, 0), cfg) == (PARAM_FLOOR, PARAM_FLOOR)
+    g.n_success[:] = counts[:, 0]
+    g.n_failure[:] = counts[:, 1]
+
+    per_candidate = uniform_graph(*names, sims=g.similarities(), cfg=cfg)
+    per_candidate.n_success[:] = g.n_success
+    per_candidate.n_failure[:] = g.n_failure
+    rng, ref_rng = make_rng(3), make_rng(3)
+    update_posteriors(g, cfg, rng)
+    update_posteriors(per_candidate, cfg, ref_rng,
+                      estimator=lambda name, record, c, gen: success_probability(record, c, gen))
+
+    assert g.last_estimates == per_candidate.last_estimates
+    assert list(g.last_estimates) == sorted(names)
+    assert g.posteriors() == per_candidate.posteriors()
+    assert rng.random() == ref_rng.random()
+
+
 def test_update_normalizes_to_one():
     g = uniform_graph("a", "b", "c", sims={"a": 0.3, "b": 0.6, "c": 0.9})
     update_posteriors(g, CFG, make_rng(1))
@@ -237,8 +264,7 @@ def test_update_rejects_invalid_estimates(bad):
 
 def test_update_zero_prior_stays_zero():
     g = uniform_graph("a", "b")
-    g.candidates["a"].record = replace(g.candidates["a"].record, posterior=0.0)
-    g.candidates["b"].record = replace(g.candidates["b"].record, posterior=1.0)
+    g.post = np.array([0.0, 1.0])
     update_posteriors(g, CFG, make_rng(0))
     assert g.posterior("a") == 0.0
     assert g.posterior("b") == 1.0
@@ -246,8 +272,7 @@ def test_update_zero_prior_stays_zero():
 
 def test_update_all_zero_priors_raises():
     g = uniform_graph("a", "b")
-    for name in ("a", "b"):
-        g.candidates[name].record = replace(g.candidates[name].record, posterior=0.0)
+    g.post = np.array([0.0, 0.0])
     with pytest.raises(NormalizationError):
         update_posteriors(g, CFG, make_rng(0))
 
@@ -255,8 +280,7 @@ def test_update_all_zero_priors_raises():
 def test_update_survives_subnormal_priors():
     # linear-space products would flush to zero here; log space must not
     g = uniform_graph("a", "b")
-    for name in ("a", "b"):
-        g.candidates[name].record = replace(g.candidates[name].record, posterior=1e-300)
+    g.post = np.array([1e-300, 1e-300])
     update_posteriors(g, CFG, make_rng(0), estimator=constant_estimator({"a": 1e-6, "b": 1e-6}))
     assert g.posterior("a") == pytest.approx(0.5, abs=1e-12)
     assert g.posterior("b") == pytest.approx(0.5, abs=1e-12)
@@ -283,8 +307,7 @@ def test_update_matches_naive_product(n, pyrandom):
     estimates = {m: pyrandom.uniform(0.01, 0.99) for m in names}
 
     g = init_graph(cluster_of(*names), sims, CFG)
-    for m in names:
-        g.candidates[m].record = replace(g.candidates[m].record, posterior=priors[m])
+    g.post = np.array([priors[m] for m in g.candidates])
     update_posteriors(g, CFG, make_rng(0), estimator=constant_estimator(estimates))
 
     want = _naive_update(sims, priors, estimates)
@@ -362,8 +385,7 @@ def test_select_tie_uniform():
 
 def test_select_tie_within_tolerance():
     g = uniform_graph("a", "b")
-    g.candidates["a"].record = replace(g.candidates["a"].record, posterior=0.5)
-    g.candidates["b"].record = replace(g.candidates["b"].record, posterior=0.5 - 5e-13)
+    g.post = np.array([0.5, 0.5 - 5e-13])
     seen = {select_model(g, make_rng(s)) for s in range(40)}
     assert seen == {"a", "b"}
 
@@ -467,7 +489,7 @@ def test_graph_from_store_overlays_and_renormalizes(household):
     # stored 0.7 mixes with the fresh candidate's uniform 0.5, renormalized
     assert g.posterior("chips_can") == pytest.approx(0.7 / 1.2, abs=1e-12)
     assert g.posterior("sugar_box") == pytest.approx(0.5 / 1.2, abs=1e-12)
-    assert g.candidates["chips_can"].record.n_success == 1
+    assert g.counts()["chips_can"][0] == 1
 
 
 def test_graph_from_store_reset_keeps_counts(household):
@@ -477,8 +499,8 @@ def test_graph_from_store_reset_keeps_counts(household):
     cluster = household.object_cluster("tomato_can", FIXTURE_MODELS.__contains__)
     g = graph_from_store(cluster, household, kb, CFG, action="grasp", reset_posteriors=True)
     assert g.posteriors() == {"chips_can": 0.5, "sugar_box": 0.5}
-    assert g.candidates["chips_can"].record.n_success == 1
-    assert g.candidates["sugar_box"].record.n_failure == 1
+    assert g.counts()["chips_can"][0] == 1
+    assert g.counts()["sugar_box"][1] == 1
 
 
 def test_graph_from_store_zero_mass_falls_back_to_uniform(household):
@@ -560,6 +582,28 @@ def test_round_counts_in_trace_match_store(household):
         for cand, counts in trace["counts"].items():
             rec = kb.query(grasp_key("tomato_can", cand))
             assert counts == (rec.n_success, rec.n_failure)
+
+
+def test_round_with_beliefs_records_outcome_only(household):
+    kb = KnowledgeBase(CFG)
+    beliefs = {}
+    rng = make_rng(42)
+    for _ in range(3):
+        trace = {}
+        selected, _ = generalise_execution_model(
+            "tomato_can", household, FIXTURE_MODELS, kb, CFG,
+            lambda o, m: True, rng, action="grasp", trace=trace, beliefs=beliefs)
+    graph = beliefs["grasp", "default", "tomato_can"]
+    assert graph.counts() == trace["counts"]
+    assert sum(rec.trial_count for _, rec in kb.items()) == 3
+    assert kb.query(grasp_key("tomato_can", selected)).posterior == trace["posteriors"][selected]
+    store_posteriors(graph, kb)
+    assert len(kb) == 2
+    for cand, posterior in trace["posteriors"].items():
+        assert kb.query(grasp_key("tomato_can", cand)).posterior == posterior
+    with pytest.raises(ValueError, match="dry run"):
+        generalise_execution_model(
+            "tomato_can", household, FIXTURE_MODELS, kb, CFG, None, rng, beliefs=beliefs)
 
 
 def test_round_dry_run_selects_like_real_round(household):
