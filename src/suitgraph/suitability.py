@@ -163,20 +163,6 @@ def beta_parameter_columns(n_success: np.ndarray, n_failure: np.ndarray,
             np.maximum(cfg.beta0 + n_failure - 1.0, PARAM_FLOOR))
 
 
-def sampled_success_probabilities(n_success: np.ndarray, n_failure: np.ndarray,
-                                  cfg: SuitabilityConfig, rng: np.random.Generator) -> list[float]:
-    """success_probability for every row of the count columns, in one beta draw.
-
-    Row i draws what success_probability would draw for candidate i, and the
-    generator ends in the same state as after those calls made in row order:
-    the draw array is filled in row-major order, and each row mean reduces a
-    contiguous row exactly as the mean of a one-candidate draw does.
-    """
-    a, b = beta_parameter_columns(n_success, n_failure, cfg)
-    draws = rng.beta(a[:, None], b[:, None], size=(len(a), cfg.beta_sample_count))
-    return np.clip(draws.mean(axis=1), _ESTIMATE_EPS, 1.0 - _ESTIMATE_EPS).tolist()
-
-
 # estimator signature: (candidate, record, cfg, rng) -> probability in (0, 1]
 Estimator = Callable[[str, ExperienceRecord, SuitabilityConfig, np.random.Generator], float]
 
@@ -263,10 +249,11 @@ def update_posteriors(
     Per candidate: similarity * success_estimate * previous posterior,
     accumulated in log space, shifted by the maximum, exponentiated, and
     normalized. The sampled estimates come from one beta draw over all
-    candidates in sorted name order (sampled_success_probabilities); this
-    ordering is part of the reproducibility contract. A candidate whose
-    posterior has reached exactly 0 stays at 0. Raises NormalizationError
-    if every candidate vanished.
+    candidates in sorted name order, the same draws and generator state as
+    success_probability called per candidate in that order; this ordering
+    is part of the reproducibility contract. A candidate whose posterior
+    has reached exactly 0 stays at 0. Raises NormalizationError if every
+    candidate vanished.
 
     ``estimator`` replaces the sampled beta estimate when given (tests stub
     it with constants): it is called once per candidate in sorted order and
@@ -277,7 +264,12 @@ def update_posteriors(
         raise EmptyClusterError(graph.target)
     post = graph.post.tolist()
     if estimator is None:
-        estimates = sampled_success_probabilities(graph.n_success, graph.n_failure, cfg, rng)
+        # row i draws what success_probability draws for candidate i: the
+        # array fills row by row, and a row mean reduces a contiguous row
+        # exactly as the mean of one candidate's draws does
+        a, b = beta_parameter_columns(graph.n_success, graph.n_failure, cfg)
+        draws = rng.beta(a[:, None], b[:, None], size=(len(names), cfg.beta_sample_count))
+        estimates = np.clip(draws.mean(axis=1), _ESTIMATE_EPS, 1.0 - _ESTIMATE_EPS).tolist()
     else:
         estimates = []
         for name, ns, nf, prior in zip(names, graph.n_success.tolist(), graph.n_failure.tolist(), post):
@@ -477,16 +469,15 @@ def generalise_execution_model(
     ``reset_posteriors`` discards stored posteriors when the graph is built
     from the store.
 
-    ``beliefs`` keeps graphs alive across the rounds of one caller. With
-    None, every round builds the graph from the store and writes all the
-    snapshots back. With a dict, the first round of (action, mode, target)
-    builds the graph and keeps it there; later rounds reuse it, dividing
-    its snapshots by their sum exactly as a rebuild from the store would,
-    and record only the outcome (``store.append``). The caller then writes
-    the snapshots with ``store_posteriors`` for each graph in the dict. A
-    kept graph never looks at the store, registry or taxonomy again, so the
-    dict is valid only while nothing else changes them; after an executor
-    error, drop it. Dry runs read the store and take no ``beliefs``.
+    ``beliefs`` keeps graphs alive across rounds. With None, every round
+    builds the graph from the store and writes all the snapshots back. With
+    a dict, the first round of (action, mode, target) keeps its graph there;
+    later rounds reuse it, renormalising it as a rebuild from the store
+    would, and record only the outcome. The caller then writes each kept
+    graph's snapshots with ``store_posteriors``. A kept graph does not read
+    the store, registry or taxonomy again: nothing else may change them
+    while the dict is in use, and an executor error invalidates it. Dry
+    runs take no ``beliefs``.
     """
     if target not in hierarchy:
         raise UnknownClassError(target)
