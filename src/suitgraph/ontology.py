@@ -330,7 +330,8 @@ def parse_json_tree(text: str) -> ClassHierarchy:
         children = node.get("children", [])
         if not isinstance(children, list):
             raise OntologyError(f"malformed json-tree: 'children' of {name!r} must be an array", class_id=name)
-        stack.extend((child, name) for child in reversed(children))
+        for child in reversed(children):
+            stack.append((child, name))
     return ClassHierarchy(parent)
 
 

@@ -278,8 +278,8 @@ def update_posteriors(
                 raise ValueError(f"success estimate for {name!r} must lie in (0, 1], got {p!r}")
             estimates.append(p)
 
-    # math.log/exp per element and a sequential sum: numpy's log, exp and
-    # pairwise sum differ from them in the last bit, which changes selections
+    # math.log/exp per element and the builtin sum: numpy's log, exp and
+    # pairwise np.sum differ from them in the last bit, which changes selections
     log_unnorm = [
         log_s + math.log(p) + math.log(prior) if prior > 0.0 else -math.inf
         for log_s, p, prior in zip(graph.log_similarity, estimates, post)
@@ -372,7 +372,7 @@ Selector = Callable[[SuitabilityGraph, np.random.Generator], str]
 
 
 def _normalised(snapshots: list[float]) -> np.ndarray:
-    """Snapshots divided by their sequential sum; uniform when none has mass."""
+    """Snapshots divided by their (builtin) sum; uniform when none has mass."""
     total = sum(snapshots)
     if total > 0.0:
         return np.array(snapshots) / total
