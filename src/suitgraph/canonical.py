@@ -10,56 +10,80 @@ insertion order of mappings, so exports can be diffed and checksummed:
 * non-finite floats rejected (JSON has no representation for them).
 
 Arrays keep their given order; order-sensitive data belongs in arrays.
+
+How it emits: one recursive function dispatches on the exact types ``float``,
+``str``, ``dict``, ``list``, ``tuple`` and ``int`` first and falls back to
+``isinstance`` for ``None``, ``bool`` and subclasses (``numpy.float64``,
+``str`` and ``dict`` subclasses). Strings are escaped by the C
+``json.encoder.encode_basestring``, the function ``json.dumps(s,
+ensure_ascii=False)`` calls, and each object key's ``"key":`` text is encoded
+once per call. Every container returns its own ``",".join(...)`` instead of
+appending to one list of all the small parts of the document, which keeps
+the transient memory of a large export small. The output, and the exception
+type raised for nan/inf (``ValueError``), a non-string key or an unsupported
+object (``TypeError``), are those of the recursive part-list emitter this
+replaced; ``tests/test_canonical.py`` keeps that emitter as its reference.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring
 
 
 def format_float(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError(f"non-finite float not representable in canonical JSON: {value!r}")
-    return format(float(value), ".17g")
+    return "%.17g" % float(value)
+
+
+class _KeyText(dict):
+    """``"key":`` text per object key, encoded on first use."""
+
+    def __missing__(self, key):
+        if not isinstance(key, str):
+            raise TypeError(f"canonical JSON object keys must be strings, got {type(key).__name__}")
+        text = self[key] = encode_basestring(key) + ":"
+        return text
 
 
 def dumps(obj) -> str:
-    """Serialize nested dict/list/str/int/float/bool/None canonically."""
-    parts: list[str] = []
-    _emit(obj, parts)
-    return "".join(parts)
+    """Serialize nested dict/list/tuple/str/int/float/bool/None canonically."""
+    key_text = _KeyText()
+    encode = encode_basestring
+    isfinite = math.isfinite
 
+    def emit(o) -> str:
+        t = type(o)
+        if t is float:
+            if isfinite(o):
+                return "%.17g" % o
+            return format_float(o)  # raises ValueError
+        if t is str:
+            return encode(o)
+        if t is dict:
+            return "{" + ",".join([key_text[k] + emit(o[k]) for k in sorted(o)]) + "}"
+        if t is list or t is tuple:
+            return "[" + ",".join([emit(item) for item in o]) + "]"
+        if t is int:
+            return str(o)
+        # None, bools and subclasses; bool before int, as bool subclasses int
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return str(o)
+        if isinstance(o, float):
+            return emit(float(o))
+        if isinstance(o, str):
+            return encode(o)
+        if isinstance(o, (list, tuple)):
+            return emit(list(o))
+        if isinstance(o, dict):
+            return emit({k: o[k] for k in o})
+        raise TypeError(f"type {type(o).__name__} is not serializable to canonical JSON")
 
-def _emit(obj, parts: list[str]) -> None:
-    # bool first: bool is a subclass of int
-    if obj is None:
-        parts.append("null")
-    elif isinstance(obj, bool):
-        parts.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        parts.append(format_float(obj))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                parts.append(",")
-            _emit(item, parts)
-        parts.append("]")
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError(f"canonical JSON object keys must be strings, got {type(key).__name__}")
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(key, ensure_ascii=False))
-            parts.append(":")
-            _emit(obj[key], parts)
-        parts.append("}")
-    else:
-        raise TypeError(f"type {type(obj).__name__} is not serializable to canonical JSON")
+    return emit(obj)

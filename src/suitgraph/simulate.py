@@ -99,6 +99,10 @@ class GroundTruthMatrix:
         default = doc.get("default", 0.0)
         if not isinstance(default, (int, float)) or isinstance(default, bool):
             raise ValueError("ground-truth default must be a number")
+        try:
+            default = float(default)
+        except OverflowError as exc:
+            raise ValueError(f"ground-truth default out of [0, 1]: {exc}") from exc
         entries = doc.get("entries", [])
         if not isinstance(entries, list):
             raise ValueError("ground-truth entries must be an array")
@@ -113,8 +117,11 @@ class GroundTruthMatrix:
                 raise ValueError(f"ground-truth entry {i}: p must be a number")
             if (target, model) in probs:
                 raise ValueError(f"ground-truth entry {i}: duplicate pair ({target!r}, {model!r})")
-            probs[(target, model)] = float(p)
-        return cls(probs, float(default))
+            try:
+                probs[(target, model)] = float(p)
+            except OverflowError as exc:
+                raise ValueError(f"ground-truth entry {i}: p out of [0, 1]: {exc}") from exc
+        return cls(probs, default)
 
 
 def simulate_execution(gt: GroundTruthMatrix, target: str, model: str, rng: np.random.Generator) -> bool:

@@ -105,6 +105,10 @@ class ExperienceKey:
         return (self.action, self.mode, self.target, self.candidate)
 
 
+# largest trial count: a SuitabilityGraph keeps counts in int64 columns
+COUNT_MAX = 2**63 - 1
+
+
 @dataclass(frozen=True)
 class ExperienceRecord:
     """Outcome counts plus the persisted posterior for one key."""
@@ -116,6 +120,8 @@ class ExperienceRecord:
     def __post_init__(self):
         if self.n_success < 0 or self.n_failure < 0:
             raise ValueError(f"negative trial counts: ({self.n_success}, {self.n_failure})")
+        if self.n_success > COUNT_MAX or self.n_failure > COUNT_MAX:
+            raise ValueError(f"trial counts above the int64 maximum {COUNT_MAX}")
         if not (0.0 <= self.posterior <= 1.0):
             raise ValueError(f"posterior out of range [0, 1]: {self.posterior!r}")
 

@@ -306,6 +306,24 @@ def test_simulate_bad_gt(capsys, tmp_path):
     assert rc == 2
 
 
+# json.loads accepts this integer; it fits neither a float nor an int64 count
+HUGE = 10**400
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("default, p", [(0.0, HUGE), (HUGE, 0.5)])
+def test_simulate_huge_integer_in_gt_exits_2(default, p, capsys, tmp_path):
+    gt = write_gt(tmp_path, {("banana", "apple"): p}, default=default)
+    rc = main(["simulate", "--ontology", ONTOLOGY, "--gt", gt, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert_one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_bad_trials(capsys, tmp_path):
     gt = write_gt(tmp_path, {("banana", "apple"): 0.9})
     rc = main(["simulate", "--ontology", ONTOLOGY, "--gt", gt, "--trials", "0",
@@ -476,6 +494,42 @@ def test_kb_import_refuses_newer_version(capsys, tmp_path):
 def test_kb_show_missing_file(capsys, tmp_path):
     rc = main(["kb", "show", "--kb", str(tmp_path / "ghost.json")])
     assert rc == 2
+
+
+def write_huge_kb(tmp_path, field):
+    _, path = make_kb_file(tmp_path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if field in doc["meta"]:
+        doc["meta"][field] = HUGE
+    else:
+        doc["entries"][0][field] = HUGE
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc), encoding="utf-8")
+    return huge
+
+
+@pytest.mark.parametrize("field", ["posterior", "n_success", "alpha0", "tau"])
+def test_kb_show_huge_integer_exits_2(field, capsys, tmp_path):
+    rc = main(["kb", "show", "--kb", str(write_huge_kb(tmp_path, field))])
+    assert rc == 2
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("field", ["posterior", "beta0"])
+def test_kb_import_huge_integer_exits_2(field, capsys, tmp_path):
+    dest = tmp_path / "imported.json"
+    rc = main(["kb", "import", "--kb", str(dest), str(write_huge_kb(tmp_path, field))])
+    assert rc == 2
+    assert_one_error_line(capsys)
+    assert not dest.exists()
+
+
+def test_select_huge_count_in_kb_exits_2(capsys, tmp_path):
+    kb = write_huge_kb(tmp_path, "n_failure")
+    rc = main(["select", "--ontology", ONTOLOGY, "--models", "apple", "--kb", str(kb),
+               "--action", "grasp", "--mode", "top", "banana"])
+    assert rc == 2
+    assert_one_error_line(capsys)
 
 
 # -- console script wiring ---------------------------------------------------------
