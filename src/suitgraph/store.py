@@ -6,8 +6,8 @@ is canonical (sorted entries, sorted keys, %.17g floats), which makes equal
 stores byte-identical and `import(export(kb)) == kb` exact. Writes go
 through a temp file in the same directory plus an atomic rename, so a
 concurrent reader sees either the old or the new store, never a torn one.
-Each entry's text is kept from one export to the next: the first save after
-a load emits every entry, later saves only the entries that changed.
+A save emits the whole store in one `canonical.dumps` call and keeps no
+text from one save to the next, so every save of a store costs the same.
 
 Schema (version 1):
 
@@ -59,8 +59,6 @@ class KnowledgeBase:
         self.config = config if config is not None else SuitabilityConfig()
         self.ontology_checksum = ontology_checksum
         self._entries: dict[ExperienceKey, ExperienceRecord] = {}
-        # export_json's text per entry, with the record it was made from
-        self._entry_text: dict[ExperienceKey, tuple[ExperienceRecord, str]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -105,30 +103,20 @@ class KnowledgeBase:
     # -- serialization -------------------------------------------------------
 
     def export_json(self) -> str:
-        """Canonical serialization; equal stores produce identical bytes.
-
-        An entry's text is kept with the record it was made from and reused
-        while that record is still the one stored under its key. Records are
-        frozen and every write replaces them, so the first export after a
-        load emits every entry and later exports emit only the entries
-        written since.
-        """
-        cache = self._entry_text
-        texts = []
+        """Canonical serialization; equal stores produce identical bytes."""
+        entries = []
         for key, rec in self.items():
-            hit = cache.get(key)
-            if hit is None or hit[0] is not rec:
-                hit = cache[key] = (rec, canonical.dumps({
-                    "action": key.action,
-                    "candidate": key.candidate,
-                    "mode": key.mode,
-                    "n_failure": rec.n_failure,
-                    "n_success": rec.n_success,
-                    "posterior": rec.posterior,
-                    "target": key.target,
-                }))
-            texts.append(hit[1])
-        rest = canonical.dumps({
+            entries.append({
+                "action": key.action,
+                "candidate": key.candidate,
+                "mode": key.mode,
+                "n_failure": rec.n_failure,
+                "n_success": rec.n_success,
+                "posterior": rec.posterior,
+                "target": key.target,
+            })
+        doc = {
+            "version": SCHEMA_VERSION,
             "meta": {
                 "alpha0": float(self.config.alpha0),
                 "beta0": float(self.config.beta0),
@@ -136,10 +124,9 @@ class KnowledgeBase:
                 "ontology_checksum": self.ontology_checksum,
                 "tau": float(self.config.tau),
             },
-            "version": SCHEMA_VERSION,
-        })
-        # "entries" sorts before "meta" and "version": splice it in front
-        return '{"entries":[' + ",".join(texts) + "]," + rest[1:]
+            "entries": entries,
+        }
+        return canonical.dumps(doc)
 
     @classmethod
     def import_json(cls, text: str) -> "KnowledgeBase":

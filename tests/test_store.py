@@ -329,29 +329,10 @@ def test_round_trip_and_count_conservation(data):
         assert rec.n_failure == len(outs) - sum(outs)
 
 
-# -- export text cache ---------------------------------------------------------------
+# -- export bytes and history ------------------------------------------------------
 
 
-def test_export_emits_only_changed_entries(monkeypatch):
-    kb = KnowledgeBase.import_json(KnowledgeBase().export_json())
-    for c in ("apple", "bowl", "can"):
-        kb.append(ExperienceKey("grasp", "top", "cup", c), True, 0.5)
-    emitted = []
-    dumps = canonical.dumps
-    # through the module attribute, which the benchmark's tracer wraps
-    monkeypatch.setattr(canonical, "dumps", lambda doc: emitted.append(doc) or dumps(doc))
-    first = kb.export_json()
-    assert [doc.get("candidate") for doc in emitted] == ["apple", "bowl", "can", None]
-    emitted.clear()
-    assert kb.export_json() == first
-    assert [doc.get("candidate") for doc in emitted] == [None]
-    emitted.clear()
-    kb.set_posterior(ExperienceKey("grasp", "top", "cup", "bowl"), 0.25)
-    kb.export_json()
-    assert [doc.get("candidate") for doc in emitted] == ["bowl", None]
-
-
-def uncached_export(kb: KnowledgeBase) -> str:
+def reference_export(kb: KnowledgeBase) -> str:
     """``export_json`` as one ``canonical.dumps`` of the whole document."""
     return canonical.dumps({
         "entries": [
@@ -387,9 +368,8 @@ def store_ops(posteriors):
 
 
 _posteriors = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0))
-# -0.0 equals 0.0 but is written "-0", so only record identity tells the two
-# apart; it stays out of stores that pass through import_json, which reads
-# "-0" as the integer 0
+# -0.0 equals 0.0 but is written "-0"; it stays out of stores that pass
+# through import_json, which reads "-0" as the integer 0
 _signed_posteriors = st.one_of(_posteriors, st.just(-0.0))
 
 
@@ -399,22 +379,22 @@ def apply_op(kb: KnowledgeBase, op) -> None:
     elif op[0] == "set_posterior":
         kb.set_posterior(POOL[op[1]], op[2])
     else:
-        assert kb.export_json() == uncached_export(kb)
+        assert kb.export_json() == reference_export(kb)
 
 
 @given(prefix=store_ops(_posteriors), ops=store_ops(_signed_posteriors), imported=st.booleans())
 @settings(max_examples=150)
-def test_export_cache_matches_uncached_export(prefix, ops, imported):
+def test_export_independent_of_history(prefix, ops, imported):
     kb = KnowledgeBase(SuitabilityConfig(alpha0=2.5, tau=0.4), "feed1234")
     for op in prefix:
         apply_op(kb, op)
     if imported:
         kb = KnowledgeBase.import_json(kb.export_json())
     # an equal store that never exports until the end
-    quiet = KnowledgeBase.import_json(uncached_export(kb))
+    quiet = KnowledgeBase.import_json(reference_export(kb))
     for op in ops:
         apply_op(kb, op)
         if op[0] != "export":
             apply_op(quiet, op)
     assert kb == quiet
-    assert kb.export_json() == quiet.export_json() == uncached_export(kb)
+    assert kb.export_json() == quiet.export_json() == reference_export(kb)
