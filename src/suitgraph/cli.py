@@ -12,7 +12,6 @@ significant digits (exact round-trip).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -20,12 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ontology import (
-    OntologyError,
-    UnknownClassError,
-    household_taxonomy_path,
-    load_hierarchy,
-)
+from .ontology import UnknownClassError, household_taxonomy_path, load_hierarchy
 from .simulate import (
     STRATEGIES,
     CampaignConfig,
@@ -35,7 +29,7 @@ from .simulate import (
     run_campaign,
     summarize,
 )
-from .store import KnowledgeBase, SchemaError
+from .store import KnowledgeBase
 from .suitability import (
     EmptyClusterError,
     ExperienceKey,
@@ -81,9 +75,8 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _effective_config(args: argparse.Namespace, kb: KnowledgeBase | None) -> SuitabilityConfig:
-    """CLI flags override the loaded store's recorded configuration."""
-    base = kb.config if kb is not None else SuitabilityConfig()
+def _effective_config(args: argparse.Namespace, base: SuitabilityConfig) -> SuitabilityConfig:
+    """CLI flags override the store's recorded configuration."""
     return SuitabilityConfig(
         alpha0=args.alpha0 if args.alpha0 is not None else base.alpha0,
         beta0=args.beta0 if args.beta0 is not None else base.beta0,
@@ -92,16 +85,15 @@ def _effective_config(args: argparse.Namespace, kb: KnowledgeBase | None) -> Sui
     )
 
 
-def _load_kb(args: argparse.Namespace, hierarchy, required: bool = False) -> KnowledgeBase | None:
-    path = getattr(args, "kb", None)
-    if path is None:
-        if required:
-            raise ValueError("--kb is required for this command")
-        return None
-    p = Path(path)
-    if not p.exists():
-        return None
-    return KnowledgeBase.load(p, expected_checksum=hierarchy.checksum())
+def _open_store(args: argparse.Namespace, hierarchy) -> KnowledgeBase:
+    """The --kb store, or a new one bound to the taxonomy when there is no
+    such file; CLI flags override its configuration."""
+    if args.kb is not None and Path(args.kb).exists():
+        kb = KnowledgeBase.load(args.kb, expected_checksum=hierarchy.checksum())
+    else:
+        kb = KnowledgeBase(ontology_checksum=hierarchy.checksum())
+    kb.config = _effective_config(args, kb.config)
+    return kb
 
 
 def _require_models(args: argparse.Namespace) -> frozenset[str]:
@@ -136,13 +128,10 @@ def cmd_select(args: argparse.Namespace) -> int:
     """Dry run of one selection round: no execution, no store mutation."""
     hierarchy = load_hierarchy(args.ontology)
     registry = _require_models(args)
-    kb = _load_kb(args, hierarchy)
-    cfg = _effective_config(args, kb)
-    if kb is None:
-        kb = KnowledgeBase(cfg, hierarchy.checksum())
+    kb = _open_store(args, hierarchy)
     trace: dict = {}
     selected, _ = generalise_execution_model(
-        args.target, hierarchy, registry, kb, cfg, None, _rng(_resolve_seed(args)),
+        args.target, hierarchy, registry, kb, kb.config, None, _rng(_resolve_seed(args)),
         action=args.action, mode=args.mode,
         reset_posteriors=args.reset_posteriors,
         max_ancestor_hops=args.max_ancestors,
@@ -176,12 +165,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not targets:
         raise ValueError("no targets: pass --targets or list pairs in the ground-truth file")
 
-    kb = _load_kb(args, hierarchy)
-    cfg = _effective_config(args, kb)
+    kb = _open_store(args, hierarchy)
     config = CampaignConfig(
         targets=tuple(targets),
         trials_per_object=args.trials,
-        cfg=cfg,
+        cfg=kb.config,
         strategy=args.strategy,
         seed=_resolve_seed(args),
         action=args.action,
@@ -189,11 +177,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         reset_posteriors=args.reset_posteriors,
         max_ancestor_hops=args.max_ancestors,
     )
-    if kb is None:
-        kb = KnowledgeBase(cfg, hierarchy.checksum())
-    else:
-        kb.config = cfg
-
     log = run_campaign(config, hierarchy, registry, gt, kb)
     rows = summarize(log)
 
@@ -212,15 +195,7 @@ def cmd_teach(args: argparse.Namespace) -> int:
     """Interactive loop: select, ask for the real-world outcome, record."""
     hierarchy = load_hierarchy(args.ontology)
     registry = _require_models(args)
-    if args.kb is None:
-        raise ValueError("--kb is required: teaching persists experience")
-    kb_path = Path(args.kb)
-    kb = _load_kb(args, hierarchy)
-    cfg = _effective_config(args, kb)
-    if kb is None:
-        kb = KnowledgeBase(cfg, hierarchy.checksum())
-    else:
-        kb.config = cfg
+    kb = _open_store(args, hierarchy)
     rng = _rng(_resolve_seed(args))
     target = args.target
 
@@ -244,7 +219,7 @@ def cmd_teach(args: argparse.Namespace) -> int:
     while True:
         try:
             selected, outcome = generalise_execution_model(
-                target, hierarchy, registry, kb, cfg, executor, rng,
+                target, hierarchy, registry, kb, kb.config, executor, rng,
                 action=args.action, mode=args.mode,
                 reset_posteriors=(args.reset_posteriors and rounds == 0),
                 max_ancestor_hops=args.max_ancestors,
@@ -255,18 +230,19 @@ def cmd_teach(args: argparse.Namespace) -> int:
         if selected is None:
             raise EmptyClusterError(target)
         attempted.add(selected)
-        kb.save(kb_path)
+        kb.save(args.kb)
         result = "success" if outcome else "failure"
         if selected == target:
             print(f"ran the own model of {target!r}: {result}; nothing recorded")
         else:
             print(f"recorded {result} for model {selected!r} on {target!r}")
 
-    _print_teach_summary(target, hierarchy, registry, kb, cfg, args, attempted)
+    _print_teach_summary(target, hierarchy, registry, kb, args, attempted)
     return EXIT_OK
 
 
-def _print_teach_summary(target, hierarchy, registry, kb, cfg, args, attempted) -> None:
+def _print_teach_summary(target, hierarchy, registry, kb, args, attempted) -> None:
+    cfg = kb.config
     print("session summary:")
     if target in registry:
         print(f"  {target!r} has its own execution model")
@@ -447,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
     except EmptyClusterError as exc:
         print(f"error: {exc}; a new execution model must be learned", file=sys.stderr)
         return EXIT_SPECIFICATION
-    except (OntologyError, SchemaError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -404,35 +404,23 @@ def parse_owl_subset(text: str) -> ClassHierarchy:
     return ClassHierarchy({c: edges.get(c) for c in sorted(all_classes)})
 
 
-_FORMATS = ("json-tree", "owl-subset")
-
-
-def parse_hierarchy(source: str, format: str) -> ClassHierarchy:
-    """Parse ``source`` text in the named format ('json-tree' or 'owl-subset')."""
-    if format == "json-tree":
-        return parse_json_tree(source)
-    if format == "owl-subset":
-        return parse_owl_subset(source)
-    raise ValueError(f"unknown ontology format {format!r}; expected one of {_FORMATS}")
-
-
-def load_hierarchy(path, format: str | None = None) -> ClassHierarchy:
-    """Read a hierarchy file, inferring the format from the extension.
+def load_hierarchy(path) -> ClassHierarchy:
+    """Read a hierarchy file; the extension picks the parser.
 
     ``.json`` -> json-tree; ``.owl``/``.rdf``/``.xml`` -> owl-subset.
     """
     from pathlib import Path
 
     p = Path(path)
-    if format is None:
-        suffix = p.suffix.lower()
-        if suffix == ".json":
-            format = "json-tree"
-        elif suffix in (".owl", ".rdf", ".xml"):
-            format = "owl-subset"
-        else:
-            raise ValueError(f"cannot infer ontology format from {p.name!r}; pass format explicitly")
-    return parse_hierarchy(p.read_text(encoding="utf-8"), format)
+    suffix = p.suffix.lower()
+    if suffix == ".json":
+        parse = parse_json_tree
+    elif suffix in (".owl", ".rdf", ".xml"):
+        parse = parse_owl_subset
+    else:
+        raise ValueError(f"cannot infer ontology format from {p.name!r}; "
+                         "use a .json, .owl, .rdf or .xml file")
+    return parse(p.read_text(encoding="utf-8"))
 
 
 def household_taxonomy_path():

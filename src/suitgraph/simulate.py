@@ -218,7 +218,8 @@ class TrialLog:
                     "alpha0": float(self.config.cfg.alpha0),
                     "beta0": float(self.config.cfg.beta0),
                     "beta_sample_count": self.config.cfg.beta_sample_count,
-                    "rng_seed": self.config.cfg.rng_seed,
+                    # trial-log v1 field, kept so the log bytes stay the same; always 0
+                    "rng_seed": 0,
                     "tau": float(self.config.cfg.tau),
                 },
                 "max_ancestor_hops": self.config.max_ancestor_hops,

@@ -38,7 +38,7 @@ import tempfile
 from pathlib import Path
 
 from . import canonical
-from .suitability import ExperienceKey, ExperienceRecord, SuitabilityConfig, record_outcome
+from .suitability import ExperienceKey, ExperienceRecord, SuitabilityConfig
 
 logger = logging.getLogger(__name__)
 
@@ -81,10 +81,14 @@ class KnowledgeBase:
         return sorted(self._entries.items(), key=lambda kv: kv[0].as_tuple())
 
     def append(self, key: ExperienceKey, outcome: bool, posterior: float) -> ExperienceRecord:
-        """Record one execution outcome and the posterior snapshot after it."""
+        """Record one execution outcome and the posterior snapshot after it.
+
+        A posterior of -0.0 is stored as 0.0: exported as "-0", it would
+        reload as the integer 0.
+        """
         current = self._entries.get(key, ExperienceRecord())
-        updated = record_outcome(current, outcome)
-        updated = ExperienceRecord(updated.n_success, updated.n_failure, float(posterior))
+        ok = bool(outcome)
+        updated = ExperienceRecord(current.n_success + ok, current.n_failure + (not ok), float(posterior) + 0.0)
         self._entries[key] = updated
         return updated
 
@@ -93,10 +97,11 @@ class KnowledgeBase:
 
         Creates a zero-count entry when the key is new: after an execution
         round the whole selection distribution must survive a reload, not
-        just the executed candidate's share.
+        just the executed candidate's share. -0.0 is stored as 0.0, as in
+        ``append``.
         """
         current = self._entries.get(key, ExperienceRecord())
-        updated = ExperienceRecord(current.n_success, current.n_failure, float(posterior))
+        updated = ExperienceRecord(current.n_success, current.n_failure, float(posterior) + 0.0)
         self._entries[key] = updated
         return updated
 

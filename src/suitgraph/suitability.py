@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
@@ -36,6 +36,10 @@ TIE_TOLERANCE = 1e-12
 
 # sampled success estimates are clipped into the open interval (0, 1)
 _ESTIMATE_EPS = 1e-12
+
+# largest beta_sample_count, 1,000x the paper's 10: the posterior update
+# allocates (candidates x beta_sample_count) draws in one array
+BETA_SAMPLE_MAX = 10_000
 
 
 class EmptyClusterError(ValueError):
@@ -64,14 +68,13 @@ class SuitabilityConfig:
 
     Defaults follow the evaluation setup this package reproduces:
     symmetric Beta(3, 3) priors, decision threshold 0.6, and 10 beta draws
-    per sampled estimate.
+    per sampled estimate. ``beta_sample_count`` is at most BETA_SAMPLE_MAX.
     """
 
     alpha0: float = 3.0
     beta0: float = 3.0
     tau: float = 0.6
     beta_sample_count: int = 10
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not (self.alpha0 > 0.0 and math.isfinite(self.alpha0)):
@@ -80,10 +83,9 @@ class SuitabilityConfig:
             raise ValueError(f"beta0 must be a positive finite float, got {self.beta0!r}")
         if not (0.0 < self.tau < 1.0):
             raise ValueError(f"tau must lie in (0, 1), got {self.tau!r}")
-        if not (isinstance(self.beta_sample_count, int) and self.beta_sample_count >= 1):
-            raise ValueError(f"beta_sample_count must be a positive integer, got {self.beta_sample_count!r}")
-        if not isinstance(self.rng_seed, int) or self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
+        if not (isinstance(self.beta_sample_count, int) and 1 <= self.beta_sample_count <= BETA_SAMPLE_MAX):
+            raise ValueError(f"beta_sample_count must be an integer in [1, {BETA_SAMPLE_MAX}], "
+                             f"got {self.beta_sample_count!r}")
 
 
 @dataclass(frozen=True)
@@ -130,13 +132,6 @@ class ExperienceRecord:
         return self.n_success + self.n_failure
 
 
-def record_outcome(record: ExperienceRecord, outcome: bool) -> ExperienceRecord:
-    """New record with one more success (True) or failure (False)."""
-    if outcome:
-        return replace(record, n_success=record.n_success + 1)
-    return replace(record, n_failure=record.n_failure + 1)
-
-
 def beta_parameters(record: ExperienceRecord, cfg: SuitabilityConfig) -> tuple[float, float]:
     """Clamped posterior parameters (alpha0 + N+ - 1, beta0 + N- - 1)."""
     a = cfg.alpha0 + record.n_success - 1.0
@@ -171,6 +166,12 @@ def beta_parameter_columns(n_success: np.ndarray, n_failure: np.ndarray,
 
 # estimator signature: (candidate, record, cfg, rng) -> probability in (0, 1]
 Estimator = Callable[[str, ExperienceRecord, SuitabilityConfig, np.random.Generator], float]
+
+
+def _left_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum on every Python: since 3.12 the builtin sum
+    of floats is compensated (Neumaier), and np.sum is pairwise."""
+    return np.add.accumulate(values)[-1]
 
 
 @dataclass(eq=False)
@@ -284,7 +285,7 @@ def update_posteriors(
                 raise ValueError(f"success estimate for {name!r} must lie in (0, 1], got {p!r}")
             estimates.append(p)
 
-    # math.log/exp per element and the builtin sum: numpy's log, exp and
+    # math.log/exp per element and a left-to-right sum: numpy's log, exp and
     # pairwise np.sum differ from them in the last bit, which changes selections
     log_unnorm = [
         log_s + math.log(p) + math.log(prior) if prior > 0.0 else -math.inf
@@ -293,8 +294,8 @@ def update_posteriors(
     shift = max(log_unnorm)
     if shift == -math.inf:
         raise NormalizationError(f"all candidate posteriors vanished for target {graph.target!r}")
-    weights = [math.exp(v - shift) for v in log_unnorm]
-    graph.post = np.array(weights) / sum(weights)
+    weights = np.array([math.exp(v - shift) for v in log_unnorm])
+    graph.post = weights / _left_sum(weights)
     graph.last_estimates = dict(zip(names, estimates))
     return graph
 
@@ -377,11 +378,11 @@ def specification_check(
 Selector = Callable[[SuitabilityGraph, np.random.Generator], str]
 
 
-def _normalised(snapshots: list[float]) -> np.ndarray:
-    """Snapshots divided by their (builtin) sum; uniform when none has mass."""
-    total = sum(snapshots)
+def _normalised(snapshots: np.ndarray) -> np.ndarray:
+    """Snapshots divided by their left-to-right sum; uniform when none has mass."""
+    total = _left_sum(snapshots)
     if total > 0.0:
-        return np.array(snapshots) / total
+        return snapshots / total
     return np.full(len(snapshots), 1.0 / len(snapshots))
 
 
@@ -420,15 +421,14 @@ def graph_from_store(
         graph.n_failure[i] = stored.n_failure
         snapshots[i] = stored.posterior
     if not reset_posteriors:
-        graph.post = _normalised(snapshots)
+        graph.post = _normalised(np.array(snapshots))
     return graph
 
 
-def store_posteriors(graph: SuitabilityGraph, store, skip: str | None = None) -> None:
-    """Write the posterior snapshot of every candidate but ``skip`` to the store."""
+def store_posteriors(graph: SuitabilityGraph, store) -> None:
+    """Write the posterior snapshot of every candidate to the store."""
     for name, posterior in zip(graph.candidates, graph.post.tolist()):
-        if name != skip:
-            store.set_posterior(ExperienceKey(graph.action, graph.mode, graph.target, name), posterior)
+        store.set_posterior(ExperienceKey(graph.action, graph.mode, graph.target, name), posterior)
 
 
 def generalise_execution_model(
@@ -518,7 +518,7 @@ def generalise_execution_model(
         if beliefs is not None:
             beliefs[action, mode, target] = graph
     else:
-        graph.post = _normalised(graph.post.tolist())
+        graph.post = _normalised(graph.post)
 
     update_posteriors(graph, cfg, rng)
     chosen = selector(graph, rng) if selector is not None else select_model(graph, rng)
@@ -543,5 +543,5 @@ def generalise_execution_model(
     graph.n_success[row], graph.n_failure[row] = record.n_success, record.n_failure
     trace["counts"][chosen] = (record.n_success, record.n_failure)
     if beliefs is None:
-        store_posteriors(graph, store, skip=chosen)
+        store_posteriors(graph, store)
     return chosen, outcome

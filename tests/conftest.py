@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from suitgraph import household_taxonomy_path, load_hierarchy, parse_json_tree
+from suitgraph import household_taxonomy_path, load_hierarchy
+from suitgraph.ontology import parse_json_tree
 
 settings.register_profile("repro", deadline=None, derandomize=True)
 settings.load_profile("repro")

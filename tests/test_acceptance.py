@@ -15,26 +15,22 @@ from conftest import FIXTURE_CLUSTER_SIZES, FIXTURE_MODELS, make_rng, random_par
 
 from suitgraph import (
     CampaignConfig,
-    ClassHierarchy,
     ExperienceKey,
-    ExperienceRecord,
     GroundTruthMatrix,
     KnowledgeBase,
-    ObjectCluster,
     SuitabilityConfig,
-    canonical_dumps,
-    deterministic_success_probability,
     household_taxonomy_path,
     init_graph,
     load_hierarchy,
-    parse_json_tree,
     run_campaign,
-    report_csv,
     specification_check,
-    summarize,
     update_posteriors,
 )
+from suitgraph.canonical import dumps as canonical_dumps
 from suitgraph.cli import main
+from suitgraph.ontology import ClassHierarchy, ObjectCluster, parse_json_tree
+from suitgraph.simulate import report_csv, summarize
+from suitgraph.suitability import ExperienceRecord, deterministic_success_probability
 
 ONTOLOGY = str(household_taxonomy_path())
 

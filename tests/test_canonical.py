@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from suitgraph import canonical_dumps
+from suitgraph.canonical import dumps as canonical_dumps
 from suitgraph.canonical import format_float
 
 

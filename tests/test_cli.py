@@ -496,13 +496,13 @@ def test_kb_show_missing_file(capsys, tmp_path):
     assert rc == 2
 
 
-def write_huge_kb(tmp_path, field):
+def write_huge_kb(tmp_path, field, value=HUGE):
     _, path = make_kb_file(tmp_path)
     doc = json.loads(path.read_text(encoding="utf-8"))
     if field in doc["meta"]:
-        doc["meta"][field] = HUGE
+        doc["meta"][field] = value
     else:
-        doc["entries"][0][field] = HUGE
+        doc["entries"][0][field] = value
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps(doc), encoding="utf-8")
     return huge
@@ -528,6 +528,21 @@ def test_select_huge_count_in_kb_exits_2(capsys, tmp_path):
     kb = write_huge_kb(tmp_path, "n_failure")
     rc = main(["select", "--ontology", ONTOLOGY, "--models", "apple", "--kb", str(kb),
                "--action", "grasp", "--mode", "top", "banana"])
+    assert rc == 2
+    assert_one_error_line(capsys)
+
+
+# rejected when the store or the flags are read, before any beta draw
+@pytest.mark.parametrize("count", [2**40, 2**63])
+def test_select_huge_beta_sample_count_in_kb_exits_2(count, capsys, tmp_path):
+    kb = write_huge_kb(tmp_path, "beta_sample_count", count)
+    rc = main(["select", "--ontology", ONTOLOGY, "--models", "apple", "--kb", str(kb), "banana"])
+    assert rc == 2
+    assert_one_error_line(capsys)
+
+
+def test_select_huge_beta_samples_flag_exits_2(capsys):
+    rc = main(["select", "--ontology", ONTOLOGY, "--models", "apple", "--beta-samples", str(2**40), "banana"])
     assert rc == 2
     assert_one_error_line(capsys)
 

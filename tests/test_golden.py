@@ -7,25 +7,27 @@ store write or a printed line fails here. A deliberate behaviour change
 re-pins them and says why in CHANGES.md.
 """
 
+import builtins
 import hashlib
 import io
 import json
+import math
+import random
+import sys
 
 import pytest
 
 from suitgraph import (
-    STRATEGIES,
     CampaignConfig,
     GroundTruthMatrix,
     KnowledgeBase,
     household_taxonomy_path,
     load_hierarchy,
-    parse_json_tree,
-    report_json,
     run_campaign,
-    summarize,
 )
 from suitgraph.cli import main
+from suitgraph.ontology import parse_json_tree
+from suitgraph.simulate import STRATEGIES, report_json, summarize
 
 ONTOLOGY = str(household_taxonomy_path())
 MODELS = "apple,chips_can,sugar_box,mug,tennis_ball"
@@ -239,3 +241,44 @@ def test_wide_sibling_campaign_golden():
     config = CampaignConfig(targets=targets, trials_per_object=8, seed=4)
     kb = KnowledgeBase(config.cfg, hierarchy.checksum())
     assert campaign_digests(config, hierarchy, frozenset(models), gt, kb) == WIDE_GOLDEN
+
+
+_builtin_sum = builtins.sum
+
+
+def neumaier_sum(iterable, /, start=0):
+    """The builtin sum of Python 3.12 and later, where floats are summed with
+    Neumaier compensation, ported so that older interpreters can run it."""
+    items = list(iterable)
+    if not items or not all(type(x) is float for x in items):
+        return _builtin_sum(items, start)
+    # an int start and the first float add uncompensated, as in CPython
+    total, rest = (start, items) if type(start) is float else (start + items[0], items[1:])
+    c = 0.0
+    for x in rest:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_neumaier_sum_is_compensated():
+    assert neumaier_sum([0.1] * 10) == 1.0
+    assert _builtin_sum([0.1] * 10) == (1.0 if sys.version_info >= (3, 12) else 0.9999999999999999)
+    assert neumaier_sum([1e100, 1.0, -1e100]) == 1.0
+    if sys.version_info >= (3, 12):
+        rng = random.Random(0)
+        for _ in range(2000):
+            xs = [rng.uniform(-1, 1) * 10 ** rng.randint(-5, 5) for _ in range(rng.randint(1, 30))]
+            assert neumaier_sum(xs) == _builtin_sum(xs)
+
+
+# goldens that Python 3.12's compensated sum moved when the round used the
+# builtin sum; they must not depend on which Python runs them
+@pytest.mark.parametrize("case", [*sorted(SIMULATE_KB_GOLDEN), "wide"])
+def test_golden_with_compensated_builtin_sum(case, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    if case == "wide":
+        test_wide_sibling_campaign_golden()
+    else:
+        test_simulate_from_kb_golden(case, tmp_path, capsys)

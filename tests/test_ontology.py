@@ -7,16 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_CLUSTER_SIZES, FIXTURE_MODELS, make_rng, random_parent_map
-from suitgraph import (
-    ClassHierarchy,
-    ObjectCluster,
-    OntologyError,
-    UnknownClassError,
-    load_hierarchy,
-    parse_hierarchy,
-    parse_json_tree,
-    parse_owl_subset,
-)
+from suitgraph import OntologyError, UnknownClassError, load_hierarchy
+from suitgraph.ontology import ClassHierarchy, ObjectCluster, parse_json_tree, parse_owl_subset
 
 OWL_DOC = """<?xml version="1.0"?>
 <rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -79,11 +71,6 @@ def test_non_object_node_rejected():
 def test_children_must_be_array():
     with pytest.raises(OntologyError, match="must be an array"):
         parse_json_tree('{"name": "a", "children": {"name": "b"}}')
-
-
-def test_unknown_format_rejected():
-    with pytest.raises(ValueError, match="unknown ontology format"):
-        parse_hierarchy("{}", "turtle")
 
 
 # -- direct construction -----------------------------------------------------
@@ -363,7 +350,6 @@ def test_load_hierarchy_formats(tmp_path):
     p.write_text('{"name": "a"}', encoding="utf-8")
     with pytest.raises(ValueError, match="cannot infer"):
         load_hierarchy(p)
-    assert load_hierarchy(p, format="json-tree").root == "a"
 
 
 # -- tree properties on random hierarchies ------------------------------------------

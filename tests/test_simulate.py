@@ -8,25 +8,25 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURE_MODELS, make_rng, random_parent_map
 from suitgraph import (
-    STRATEGIES,
     CampaignConfig,
-    ClassHierarchy,
     ExperienceKey,
     GroundTruthMatrix,
     KnowledgeBase,
     SuitabilityConfig,
     UnknownClassError,
-    baseline_select,
     init_graph,
-    report_csv,
-    report_json,
     run_campaign,
-    simulate_execution,
-    summarize,
-    update_posteriors,
 )
 from suitgraph import simulate
-from suitgraph.ontology import ObjectCluster
+from suitgraph.ontology import ClassHierarchy, ObjectCluster
+from suitgraph.simulate import (
+    STRATEGIES,
+    baseline_select,
+    report_csv,
+    report_json,
+    simulate_execution,
+    summarize,
+)
 
 CFG = SuitabilityConfig()
 

@@ -1,20 +1,14 @@
 import json
 import logging
+import math
 import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from suitgraph import (
-    SCHEMA_VERSION,
-    ExperienceKey,
-    ExperienceRecord,
-    KnowledgeBase,
-    SchemaError,
-    SuitabilityConfig,
-)
-from suitgraph import canonical
+from suitgraph import ExperienceKey, KnowledgeBase, SchemaError, SuitabilityConfig, canonical
+from suitgraph.store import SCHEMA_VERSION
 
 KEY = ExperienceKey("grasp", "default", "banana", "apple")
 
@@ -32,11 +26,18 @@ def test_append_creates_entry():
 
 def test_append_accumulates():
     kb = KnowledgeBase()
-    kb.append(KEY, True, 0.9)
+    first = kb.append(KEY, True, 0.9)
     kb.append(KEY, False, 0.4)
     rec = kb.query(KEY)
     assert (rec.n_success, rec.n_failure) == (1, 1)
     assert rec.posterior == 0.4
+    success = kb.append(KEY, True, 0.5)
+    assert (success.n_success, success.n_failure) == (2, 1)
+    failure = kb.append(KEY, False, 0.6)
+    assert (failure.n_success, failure.n_failure) == (2, 2)
+    # each append makes a new record; the earlier ones are unchanged
+    assert (first.n_success, first.n_failure, first.posterior) == (1, 0, 0.9)
+    assert (rec.n_success, rec.n_failure, rec.posterior) == (1, 1, 0.4)
 
 
 def test_set_posterior_keeps_counts():
@@ -52,6 +53,17 @@ def test_set_posterior_creates_zero_count_entry():
     kb.set_posterior(KEY, 0.3)
     rec = kb.query(KEY)
     assert (rec.n_success, rec.n_failure, rec.posterior) == (0, 0, 0.3)
+
+
+def test_negative_zero_posterior_survives_reload():
+    kb = KnowledgeBase()
+    kb.append(KEY, True, -0.0)
+    kb.set_posterior(ExperienceKey("grasp", "default", "banana", "bowl"), -0.0)
+    for _, rec in kb.items():
+        assert math.copysign(1.0, rec.posterior) == 1.0
+    text = kb.export_json()
+    assert '"posterior":-0' not in text
+    assert KnowledgeBase.import_json(text).export_json() == text
 
 
 def test_items_sorted():
@@ -367,10 +379,8 @@ def store_ops(posteriors):
     )
 
 
-_posteriors = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0))
-# -0.0 equals 0.0 but is written "-0"; it stays out of stores that pass
-# through import_json, which reads "-0" as the integer 0
-_signed_posteriors = st.one_of(_posteriors, st.just(-0.0))
+# -0.0 equals 0.0; the store keeps it as 0.0, so it reloads byte for byte
+_posteriors = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0))
 
 
 def apply_op(kb: KnowledgeBase, op) -> None:
@@ -382,7 +392,7 @@ def apply_op(kb: KnowledgeBase, op) -> None:
         assert kb.export_json() == reference_export(kb)
 
 
-@given(prefix=store_ops(_posteriors), ops=store_ops(_signed_posteriors), imported=st.booleans())
+@given(prefix=store_ops(_posteriors), ops=store_ops(_posteriors), imported=st.booleans())
 @settings(max_examples=150)
 def test_export_independent_of_history(prefix, ops, imported):
     kb = KnowledgeBase(SuitabilityConfig(alpha0=2.5, tau=0.4), "feed1234")

@@ -10,26 +10,30 @@ from conftest import FIXTURE_MODELS, make_rng
 from suitgraph import (
     EmptyClusterError,
     ExperienceKey,
-    ExperienceRecord,
     KnowledgeBase,
     MissingRecordError,
     NormalizationError,
-    ObjectCluster,
     SuitabilityConfig,
     UnknownClassError,
-    beta_parameters,
-    deterministic_success_probability,
     generalisation_check,
     generalise_execution_model,
-    graph_from_store,
     init_graph,
-    record_outcome,
     select_model,
     specification_check,
-    success_probability,
     update_posteriors,
 )
-from suitgraph.suitability import PARAM_FLOOR, store_posteriors
+from suitgraph.ontology import ObjectCluster
+from suitgraph.suitability import (
+    BETA_SAMPLE_MAX,
+    PARAM_FLOOR,
+    ExperienceRecord,
+    _left_sum,
+    beta_parameters,
+    deterministic_success_probability,
+    graph_from_store,
+    store_posteriors,
+    success_probability,
+)
 
 CFG = SuitabilityConfig()  # alpha0=3, beta0=3, tau=0.6, 10 draws
 
@@ -61,12 +65,17 @@ def constant_estimator(values):
         {"tau": 1.0},
         {"beta_sample_count": 0},
         {"beta_sample_count": 2.5},
-        {"rng_seed": -1},
+        {"beta_sample_count": BETA_SAMPLE_MAX + 1},
+        {"beta_sample_count": 2**40},
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         SuitabilityConfig(**kwargs)
+
+
+def test_config_accepts_largest_beta_sample_count():
+    assert SuitabilityConfig(beta_sample_count=BETA_SAMPLE_MAX).beta_sample_count == BETA_SAMPLE_MAX
 
 
 def test_key_validation():
@@ -84,14 +93,12 @@ def test_record_validation():
     assert ExperienceRecord(2, 3).trial_count == 5
 
 
-def test_record_outcome_immutably_increments():
-    r = ExperienceRecord(1, 1, 0.5)
-    s = record_outcome(r, True)
-    f = record_outcome(r, False)
-    assert (s.n_success, s.n_failure) == (2, 1)
-    assert (f.n_success, f.n_failure) == (1, 2)
-    assert (r.n_success, r.n_failure) == (1, 1)
-    assert s.posterior == r.posterior
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=60))
+def test_left_sum_adds_left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += v
+    assert _left_sum(np.array(values)) == total
 
 
 # -- beta-Bernoulli estimation ---------------------------------------------------
