@@ -249,10 +249,8 @@ def _print_teach_summary(target, hierarchy, registry, kb, args, attempted) -> No
     else:
         cluster = hierarchy.object_cluster(
             target, registry.__contains__, max_ancestor_hops=args.max_ancestors)
-        records = {
-            m: kb.query(ExperienceKey(args.action, args.mode, target, m)) or ExperienceRecord()
-            for m in cluster.members
-        }
+        stored = kb.records_for(args.action, args.mode, target)
+        records = {m: stored.get(m, ExperienceRecord()) for m in cluster.members}
         needed = specification_check(target, cluster, records, cfg)
         print(f"  specification needed for {target!r}: {'yes' if needed else 'no'}")
     for model in sorted(attempted):

@@ -22,7 +22,7 @@ import logging
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 logger = logging.getLogger(__name__)
 
@@ -208,8 +208,34 @@ class ClassHierarchy:
         Symmetric, in (0, 1], and exactly 1 iff a == b (in a tree two
         distinct classes cannot both equal their common subsumer).
         """
-        anc = self.lcs(a, b)
-        return 2.0 * self._depth[anc] / (self._depth[a] + self._depth[b])
+        return self.wup_similarities(a, (b,))[b]
+
+    def wup_similarities(self, target: str, others: Iterable[str]) -> dict[str, float]:
+        """Wu-Palmer similarity of ``target`` to each class of ``others``.
+
+        The target's ancestor line is walked once; each other class then
+        walks up until it meets that line, at its least common subsumer
+        with the target (a sibling after one step). Unknown classes raise
+        UnknownClassError, the target first, then ``others`` in order.
+        """
+        self._require(target)
+        parent, depth = self._parent, self._depth
+        line: dict[str, int] = {}
+        cur: str | None = target
+        while cur is not None:
+            line[cur] = depth[cur]
+            cur = parent[cur]
+        target_depth = depth[target]
+        out: dict[str, float] = {}
+        for other in others:
+            if other not in parent:
+                raise UnknownClassError(other)
+            # the root is on the line, so every walk ends
+            cur = other
+            while (shared := line.get(cur)) is None:
+                cur = parent[cur]
+            out[other] = 2.0 * shared / (target_depth + depth[other])
+        return out
 
     def relatives(self, class_id: str, *, max_ancestor_hops: int | None = None) -> frozenset[str]:
         """Strict ancestors, siblings, and direct children of a class.

@@ -359,9 +359,12 @@ def summarize(log: TrialLog) -> list[TargetSummary]:
     itself when it had its own model.
     """
     cfg = log.config.cfg
+    by_target: dict[str, list[TrialStep]] = {target: [] for target in log.config.targets}
+    for step in log.steps:
+        by_target.setdefault(step.target, []).append(step)
     rows: list[TargetSummary] = []
     for target in log.config.targets:
-        tsteps = [s for s in log.steps if s.target == target]
+        tsteps = by_target[target]
         n_success = sum(1 for s in tsteps if s.outcome)
         attempted = {s.selected for s in tsteps if s.selected is not None}
         last = tsteps[-1]

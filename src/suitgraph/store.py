@@ -27,6 +27,11 @@ Schema (version 1):
 
 Absent entries mean zero experience. Import refuses versions newer than this
 module writes.
+
+In memory the entries are grouped by scope: (action, mode, target) maps to
+{candidate: record}, so a suitability graph reads or writes all of its
+target's candidates with one lookup. A scope exists only while it holds
+entries, so equal stores have equal nested dicts.
 """
 
 from __future__ import annotations
@@ -36,9 +41,11 @@ import logging
 import os
 import tempfile
 from pathlib import Path
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from . import canonical
-from .suitability import ExperienceKey, ExperienceRecord, SuitabilityConfig
+from .suitability import ExperienceKey, ExperienceRecord, SuitabilityConfig, check_key_field
 
 logger = logging.getLogger(__name__)
 
@@ -46,6 +53,9 @@ SCHEMA_VERSION = 1
 
 _META_FIELDS = ("alpha0", "beta0", "beta_sample_count", "ontology_checksum", "tau")
 _ENTRY_FIELDS = ("action", "candidate", "mode", "n_failure", "n_success", "posterior", "target")
+
+_NO_EXPERIENCE = ExperienceRecord()
+_NO_RECORDS: Mapping[str, ExperienceRecord] = MappingProxyType({})
 
 
 class SchemaError(ValueError):
@@ -58,27 +68,52 @@ class KnowledgeBase:
     def __init__(self, config: SuitabilityConfig | None = None, ontology_checksum: str = ""):
         self.config = config if config is not None else SuitabilityConfig()
         self.ontology_checksum = ontology_checksum
-        self._entries: dict[ExperienceKey, ExperienceRecord] = {}
+        self._scopes: dict[tuple[str, str, str], dict[str, ExperienceRecord]] = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(len(records) for records in self._scopes.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KnowledgeBase):
             return NotImplemented
         return (
-            self._entries == other._entries
+            self._scopes == other._scopes
             and self.config == other.config
             and self.ontology_checksum == other.ontology_checksum
         )
 
     def query(self, key: ExperienceKey) -> ExperienceRecord | None:
         """Record for the key, or None when there is no experience yet."""
-        return self._entries.get(key)
+        return self._get(key)
+
+    def records_for(self, action: str, mode: str, target: str) -> Mapping[str, ExperienceRecord]:
+        """Read-only {candidate: record} view of one scope, empty when the
+        scope has no entries. The view of a scope with entries shows later
+        writes to it; reading never creates a scope."""
+        records = self._scopes.get((action, mode, target))
+        return _NO_RECORDS if records is None else MappingProxyType(records)
 
     def items(self) -> list[tuple[ExperienceKey, ExperienceRecord]]:
         """All entries sorted by key."""
-        return sorted(self._entries.items(), key=lambda kv: kv[0].as_tuple())
+        return [(ExperienceKey(*scope, candidate), rec) for scope, candidate, rec in self._sorted()]
+
+    def _sorted(self):
+        """(scope, candidate, record) in key order: sorted scopes, then
+        sorted candidates, the order of sorting the (action, mode, target,
+        candidate) tuples."""
+        for scope in sorted(self._scopes):
+            records = self._scopes[scope]
+            for candidate in sorted(records):
+                yield scope, candidate, records[candidate]
+
+    # the store's own reads and writes bypass the public methods, so a
+    # tracer that wraps those (benchmarks/tracing.py) counts outside calls only
+
+    def _get(self, key: ExperienceKey) -> ExperienceRecord | None:
+        return self._scopes.get((key.action, key.mode, key.target), _NO_RECORDS).get(key.candidate)
+
+    def _put(self, key: ExperienceKey, record: ExperienceRecord) -> None:
+        self._scopes.setdefault((key.action, key.mode, key.target), {})[key.candidate] = record
 
     def append(self, key: ExperienceKey, outcome: bool, posterior: float) -> ExperienceRecord:
         """Record one execution outcome and the posterior snapshot after it.
@@ -86,10 +121,10 @@ class KnowledgeBase:
         A posterior of -0.0 is stored as 0.0: exported as "-0", it would
         reload as the integer 0.
         """
-        current = self._entries.get(key, ExperienceRecord())
+        current = self._get(key) or _NO_EXPERIENCE
         ok = bool(outcome)
         updated = ExperienceRecord(current.n_success + ok, current.n_failure + (not ok), float(posterior) + 0.0)
-        self._entries[key] = updated
+        self._put(key, updated)
         return updated
 
     def set_posterior(self, key: ExperienceKey, posterior: float) -> ExperienceRecord:
@@ -100,25 +135,45 @@ class KnowledgeBase:
         just the executed candidate's share. -0.0 is stored as 0.0, as in
         ``append``.
         """
-        current = self._entries.get(key, ExperienceRecord())
+        current = self._get(key) or _NO_EXPERIENCE
         updated = ExperienceRecord(current.n_success, current.n_failure, float(posterior) + 0.0)
-        self._entries[key] = updated
+        self._put(key, updated)
         return updated
+
+    def set_posteriors(self, action: str, mode: str, target: str,
+                       candidates: Iterable[str], posteriors: Iterable[float]) -> None:
+        """``set_posterior`` for each (candidate, posterior) pair of one scope.
+
+        All or nothing: every record is built and checked before the first
+        is written, so a bad posterior, an empty or non-string candidate, or
+        lists of unequal length raise ValueError and leave the store as it
+        was. The scope strings are checked once.
+        """
+        for fname, value in (("action", action), ("mode", mode), ("target", target)):
+            check_key_field(fname, value)
+        current = self._scopes.get((action, mode, target), _NO_RECORDS)
+        updated: dict[str, ExperienceRecord] = {}
+        for candidate, posterior in zip(candidates, posteriors, strict=True):
+            check_key_field("candidate", candidate)
+            rec = current.get(candidate, _NO_EXPERIENCE)
+            updated[candidate] = ExperienceRecord(rec.n_success, rec.n_failure, float(posterior) + 0.0)
+        if updated:
+            self._scopes.setdefault((action, mode, target), {}).update(updated)
 
     # -- serialization -------------------------------------------------------
 
     def export_json(self) -> str:
         """Canonical serialization; equal stores produce identical bytes."""
         entries = []
-        for key, rec in self.items():
+        for (action, mode, target), candidate, rec in self._sorted():
             entries.append({
-                "action": key.action,
-                "candidate": key.candidate,
-                "mode": key.mode,
+                "action": action,
+                "candidate": candidate,
+                "mode": mode,
                 "n_failure": rec.n_failure,
                 "n_success": rec.n_success,
                 "posterior": rec.posterior,
-                "target": key.target,
+                "target": target,
             })
         doc = {
             "version": SCHEMA_VERSION,
@@ -201,9 +256,9 @@ class KnowledgeBase:
                 rec = ExperienceRecord(entry["n_success"], entry["n_failure"], float(entry["posterior"]))
             except (ValueError, OverflowError) as exc:
                 raise SchemaError(f"entry {i}: {exc}") from exc
-            if key in kb._entries:
+            if kb._get(key) is not None:
                 raise SchemaError(f"entry {i}: duplicate key {key.as_tuple()!r}")
-            kb._entries[key] = rec
+            kb._put(key, rec)
         return kb
 
     # -- file I/O ------------------------------------------------------------

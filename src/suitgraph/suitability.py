@@ -88,6 +88,12 @@ class SuitabilityConfig:
                              f"got {self.beta_sample_count!r}")
 
 
+def check_key_field(fname: str, value) -> None:
+    """ValueError unless ``value`` is a non-empty string."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"experience key field {fname!r} must be a non-empty string, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperienceKey:
     """Scope of one experience record: action, action mode, target, candidate."""
@@ -99,9 +105,7 @@ class ExperienceKey:
 
     def __post_init__(self):
         for fname in ("action", "mode", "target", "candidate"):
-            value = getattr(self, fname)
-            if not isinstance(value, str) or not value:
-                raise ValueError(f"experience key field {fname!r} must be a non-empty string, got {value!r}")
+            check_key_field(fname, getattr(self, fname))
 
     def as_tuple(self) -> tuple[str, str, str, str]:
         return (self.action, self.mode, self.target, self.candidate)
@@ -403,32 +407,35 @@ def graph_from_store(
     overridden per candidate. Stored records supply counts and, unless
     reset_posteriors is set, persisted posteriors; candidates without stored
     posterior mass start uniform and the mixture is renormalized. If nothing
-    stored carries mass, the distribution falls back to uniform.
+    stored carries mass, the distribution falls back to uniform. One
+    ``wup_similarities`` walk gives the similarities and one
+    ``store.records_for`` lookup the records.
     """
-    sims: dict[str, float] = {}
-    for member in cluster.members:
-        if similarity_override is not None and member in similarity_override:
-            sims[member] = float(similarity_override[member])
-        else:
-            sims[member] = hierarchy.wup_similarity(cluster.target, member)
+    override = similarity_override or {}
+    sims = {member: float(override[member]) for member in cluster.members if member in override}
+    sims.update(hierarchy.wup_similarities(
+        cluster.target, [member for member in cluster.members if member not in override]))
     graph = init_graph(cluster, sims, cfg, action, mode)
     snapshots = graph.post.tolist()
-    for i, member in enumerate(graph.candidates):
-        stored = store.query(ExperienceKey(action, mode, cluster.target, member))
-        if stored is None:
-            continue
-        graph.n_success[i] = stored.n_success
-        graph.n_failure[i] = stored.n_failure
-        snapshots[i] = stored.posterior
+    records = store.records_for(action, mode, cluster.target)
+    if records:
+        n_success = graph.n_success.tolist()
+        n_failure = graph.n_failure.tolist()
+        for i, member in enumerate(graph.candidates):
+            stored = records.get(member)
+            if stored is not None:
+                n_success[i], n_failure[i], snapshots[i] = stored.n_success, stored.n_failure, stored.posterior
+        graph.n_success = np.array(n_success, dtype=np.int64)
+        graph.n_failure = np.array(n_failure, dtype=np.int64)
     if not reset_posteriors:
         graph.post = _normalised(np.array(snapshots))
     return graph
 
 
 def store_posteriors(graph: SuitabilityGraph, store) -> None:
-    """Write the posterior snapshot of every candidate to the store."""
-    for name, posterior in zip(graph.candidates, graph.post.tolist()):
-        store.set_posterior(ExperienceKey(graph.action, graph.mode, graph.target, name), posterior)
+    """Write the posterior snapshot of every candidate to the store, all or
+    nothing (``store.set_posteriors``)."""
+    store.set_posteriors(graph.action, graph.mode, graph.target, graph.candidates, graph.post.tolist())
 
 
 def generalise_execution_model(

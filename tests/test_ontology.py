@@ -388,6 +388,58 @@ def test_wup_symmetric_bounded(parent):
             assert (s == 1.0) == (a == b)
 
 
+def reference_wup(h, a, b):
+    """Wu-Palmer through a separate lcs walk for the one pair."""
+    return 2.0 * h.depth(h.lcs(a, b)) / (h.depth(a) + h.depth(b))
+
+
+@given(parent_maps(), st.data())
+@settings(max_examples=60)
+def test_wup_similarities_equal_pairwise_lcs(parent, data):
+    h = ClassHierarchy(parent)
+    nodes = sorted(h.classes)
+    for target in nodes[:8]:
+        # every class: the target itself, its ancestors and its descendants among them
+        sims = h.wup_similarities(target, nodes)
+        assert list(sims) == nodes
+        for other in nodes:
+            assert sims[other] == reference_wup(h, target, other)
+            assert h.wup_similarity(target, other) == sims[other]
+    target = data.draw(st.sampled_from(nodes))
+    others = data.draw(st.lists(st.sampled_from(nodes), max_size=12))
+    sims = h.wup_similarities(target, iter(others))
+    assert sims == {o: reference_wup(h, target, o) for o in others}
+
+
+def test_wup_similarities_deep_owl_chain():
+    depth = 3000
+    classes = "".join(
+        f'<owl:Class rdf:about="#c{i}"><rdfs:subClassOf rdf:resource="#c{i - 1}"/></owl:Class>'
+        for i in range(depth - 1, 0, -1)
+    )
+    h = parse_owl_subset(
+        '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" '
+        'xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#" '
+        f'xmlns:owl="http://www.w3.org/2002/07/owl#">{classes}</rdf:RDF>')
+    others = [f"c{i}" for i in range(0, depth, 7)] + [f"c{depth - 1}"]
+    for target in ("c0", "c1500", f"c{depth - 1}"):
+        sims = h.wup_similarities(target, others)
+        assert sims == {o: reference_wup(h, target, o) for o in others}
+    assert h.wup_similarities(f"c{depth - 1}", ["c0"])["c0"] == 2.0 / (1 + depth)
+
+
+def test_wup_similarities_unknown_class(toy):
+    for target, others, unknown in (
+        ("nope", ["apple"], "nope"),
+        ("apple", ["banana", "nope", "also_nope"], "nope"),
+        ("apple", ["thing", "also_nope"], "also_nope"),
+    ):
+        with pytest.raises(UnknownClassError) as exc_info:
+            toy.wup_similarities(target, others)
+        assert exc_info.value.class_id == unknown
+    assert toy.wup_similarities("apple", []) == {}
+
+
 @given(parent_maps())
 @settings(max_examples=60)
 def test_round_trip_random_trees(parent):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from suitgraph import ExperienceKey, KnowledgeBase, SchemaError, SuitabilityConfig, canonical
 from suitgraph.store import SCHEMA_VERSION
+from suitgraph.suitability import ExperienceRecord
 
 KEY = ExperienceKey("grasp", "default", "banana", "apple")
 
@@ -64,6 +65,74 @@ def test_negative_zero_posterior_survives_reload():
     text = kb.export_json()
     assert '"posterior":-0' not in text
     assert KnowledgeBase.import_json(text).export_json() == text
+
+
+def test_set_posteriors_writes_one_scope():
+    kb = KnowledgeBase()
+    kb.append(KEY, True, 0.9)
+    kb.set_posteriors("grasp", "default", "banana", ["apple", "bowl"], [0.25, 0.75])
+    assert kb.query(KEY) == ExperienceRecord(1, 0, 0.25)
+    assert kb.query(ExperienceKey("grasp", "default", "banana", "bowl")) == ExperienceRecord(0, 0, 0.75)
+    assert len(kb) == 2
+
+
+@pytest.mark.parametrize("candidates, posteriors", [
+    (["a", "b", "c", "d"], [0.1, 0.2, 1.5, 0.3]),
+    (["a", "b", "c", "d"], [0.1, 0.2, float("nan"), 0.3]),
+    (["a", "b", "c", "d"], [0.1, 0.2, -0.5, 0.3]),
+    (["a", "b", "", "d"], [0.1, 0.2, 0.3, 0.4]),
+    (["a", "b", 3, "d"], [0.1, 0.2, 0.3, 0.4]),
+    (["a", "b", "c", "d"], [0.1, 0.2, 0.3]),
+    (["a", "b"], [0.1, 0.2, 0.3]),
+])
+@pytest.mark.parametrize("target", ["banana", "cup"])
+def test_set_posteriors_all_or_nothing(candidates, posteriors, target):
+    kb = KnowledgeBase()
+    kb.append(KEY, True, 0.9)
+    kb.set_posteriors("grasp", "default", "banana", ["b", "c"], [0.5, 0.5])
+    copy = KnowledgeBase.import_json(kb.export_json())
+    with pytest.raises(ValueError):
+        kb.set_posteriors("grasp", "default", target, candidates, posteriors)
+    assert kb == copy
+    assert kb.export_json() == copy.export_json()
+
+
+@pytest.mark.parametrize("scope", [("", "default", "banana"), ("grasp", None, "banana"),
+                                   ("grasp", "default", "")])
+def test_set_posteriors_checks_scope(scope):
+    kb = KnowledgeBase()
+    with pytest.raises(ValueError, match="non-empty string"):
+        kb.set_posteriors(*scope, ["apple"], [0.5])
+    with pytest.raises(ValueError, match="non-empty string"):
+        kb.set_posteriors(*scope, [], [])
+    assert kb == KnowledgeBase()
+
+
+def test_records_for_absent_scope_is_empty_and_creates_nothing():
+    kb = KnowledgeBase()
+    kb.append(KEY, True, 0.5)
+    never_read = KnowledgeBase.import_json(kb.export_json())
+    for scope in (("grasp", "default", "cup"), ("pour", "default", "banana"), ("grasp", "top", "banana")):
+        records = kb.records_for(*scope)
+        assert len(records) == 0 and dict(records) == {}
+        assert records.get("apple") is None
+    assert kb == never_read
+    assert kb.export_json() == never_read.export_json()
+    assert len(kb) == 1
+
+
+def test_records_for_is_read_only():
+    kb = KnowledgeBase()
+    kb.append(KEY, True, 0.5)
+    for scope in (("grasp", "default", "banana"), ("grasp", "default", "cup")):
+        records = kb.records_for(*scope)
+        with pytest.raises(TypeError):
+            records["bowl"] = ExperienceRecord()
+        with pytest.raises(TypeError):
+            del records["apple"]
+    assert kb.records_for("grasp", "default", "banana") == {"apple": ExperienceRecord(1, 0, 0.5)}
+    assert kb.records_for("grasp", "default", "cup") == {}
+    assert len(kb) == 1
 
 
 def test_items_sorted():
@@ -207,6 +276,13 @@ def test_import_rejects_bad_entries():
     doc = valid_doc()
     doc["entries"].append(dict(doc["entries"][0]))
     with pytest.raises(SchemaError, match="duplicate key"):
+        KnowledgeBase.import_json(json.dumps(doc))
+
+    # the first repeat of a key is reported by its entry index
+    doc = valid_doc()
+    first = doc["entries"][0]
+    doc["entries"] += [dict(first, candidate="bowl"), dict(first, target="cup"), dict(first, n_success=4)]
+    with pytest.raises(SchemaError, match=r"^entry 3: duplicate key \('grasp', 'default', 'banana', 'apple'\)$"):
         KnowledgeBase.import_json(json.dumps(doc))
 
     doc = valid_doc()
@@ -408,3 +484,24 @@ def test_export_independent_of_history(prefix, ops, imported):
             apply_op(quiet, op)
     assert kb == quiet
     assert kb.export_json() == quiet.export_json() == reference_export(kb)
+
+
+SCOPES = sorted({(k.action, k.mode, k.target) for k in POOL})
+
+
+@given(prefix=store_ops(_posteriors), imported=st.booleans(), scope=st.sampled_from(SCOPES),
+       writes=st.lists(st.tuples(st.sampled_from(["apple", "bowl", "can", "dish"]), _posteriors), max_size=6))
+@settings(max_examples=150)
+def test_set_posteriors_equals_set_posterior_loop(prefix, imported, scope, writes):
+    kb = KnowledgeBase()
+    for op in prefix:
+        apply_op(kb, op)
+    if imported:
+        kb = KnowledgeBase.import_json(kb.export_json())
+    looped = KnowledgeBase.import_json(kb.export_json())
+    for candidate, posterior in writes:
+        looped.set_posterior(ExperienceKey(*scope, candidate), posterior)
+    kb.set_posteriors(*scope, [c for c, _ in writes], [p for _, p in writes])
+    assert kb == looped
+    assert kb.export_json() == looped.export_json()
+    assert all(math.copysign(1.0, rec.posterior) == 1.0 for _, rec in kb.items())
