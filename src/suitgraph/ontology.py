@@ -242,9 +242,11 @@ class ClassHierarchy:
 
         ``max_ancestor_hops`` caps how many parent steps contribute ancestors
         (None = all the way to the root); siblings and children are always
-        included.
+        included. A negative cap is a ValueError.
         """
         self._require(class_id)
+        if max_ancestor_hops is not None and max_ancestor_hops < 0:
+            raise ValueError(f"max_ancestor_hops must be None or >= 0, got {max_ancestor_hops!r}")
         out = set(self._children[class_id]) | self.siblings(class_id)
         hops = 0
         cur = self._parent[class_id]

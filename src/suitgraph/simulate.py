@@ -35,13 +35,10 @@ from . import canonical
 from .ontology import ClassHierarchy, UnknownClassError
 from .store import KnowledgeBase
 from .suitability import (
-    EmptyClusterError,
-    ExperienceRecord,
     NormalizationError,
     SuitabilityConfig,
     SuitabilityGraph,
     argmax_random_ties,
-    beta_parameter_columns,
     deterministic_success_probability,
     generalise_execution_model,
     store_posteriors,
@@ -137,15 +134,13 @@ def baseline_select(strategy: str, graph: SuitabilityGraph, rng: np.random.Gener
     the graph's priors). Ties break uniformly at random like select_model.
     """
     names = graph.candidates
-    if not names:
-        raise EmptyClusterError(graph.target)
     if strategy == "random":
         return names[int(rng.integers(len(names)))]
     if strategy == "similarity-only":
         return argmax_random_ties(names, graph.similarity, rng)
     if strategy == "count-only":
-        a, b = beta_parameter_columns(graph.n_success, graph.n_failure, graph.cfg)
-        return argmax_random_ties(names, a / (a + b), rng)
+        return argmax_random_ties(
+            names, deterministic_success_probability(graph.n_success, graph.n_failure, graph.cfg), rng)
     raise ValueError(f"unknown baseline strategy {strategy!r}; expected one of {STRATEGIES[1:]}")
 
 
@@ -371,16 +366,13 @@ def summarize(log: TrialLog) -> list[TargetSummary]:
         if last.own_model:
             o_star = target
         else:
-            qualified: dict[str, float] = {}
-            for cand, (ns, nf) in last.counts.items():
-                mean = deterministic_success_probability(ExperienceRecord(ns, nf), cfg)
-                if mean >= cfg.tau:
-                    qualified[cand] = mean
-            if qualified:
-                top = max(qualified.values())
-                o_star = min(c for c, m in qualified.items() if m == top)
-            else:
-                o_star = "/"
+            o_star = "/"
+            if last.counts:
+                counts = np.array(list(last.counts.values()), dtype=np.int64)
+                mean = deterministic_success_probability(counts[:, 0], counts[:, 1], cfg)
+                top = mean.max()
+                if top >= cfg.tau:
+                    o_star = min(c for c, m in zip(last.counts, mean.tolist()) if m == top)
         rows.append(TargetSummary(
             target=target,
             cluster_size=last.cluster_size,

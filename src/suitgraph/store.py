@@ -84,7 +84,7 @@ class KnowledgeBase:
 
     def query(self, key: ExperienceKey) -> ExperienceRecord | None:
         """Record for the key, or None when there is no experience yet."""
-        return self._get(key)
+        return self._scopes.get((key.action, key.mode, key.target), _NO_RECORDS).get(key.candidate)
 
     def records_for(self, action: str, mode: str, target: str) -> Mapping[str, ExperienceRecord]:
         """Read-only {candidate: record} view of one scope, empty when the
@@ -106,25 +106,16 @@ class KnowledgeBase:
             for candidate in sorted(records):
                 yield scope, candidate, records[candidate]
 
-    # the store's own reads and writes bypass the public methods, so a
-    # tracer that wraps those (benchmarks/tracing.py) counts outside calls only
-
-    def _get(self, key: ExperienceKey) -> ExperienceRecord | None:
-        return self._scopes.get((key.action, key.mode, key.target), _NO_RECORDS).get(key.candidate)
-
-    def _put(self, key: ExperienceKey, record: ExperienceRecord) -> None:
-        self._scopes.setdefault((key.action, key.mode, key.target), {})[key.candidate] = record
+    # no public method here calls another that benchmarks/tracing.py wraps
+    # (query, append, set_posterior), so a wrapped method counts outside calls only
 
     def append(self, key: ExperienceKey, outcome: bool, posterior: float) -> ExperienceRecord:
-        """Record one execution outcome and the posterior snapshot after it.
-
-        A posterior of -0.0 is stored as 0.0: exported as "-0", it would
-        reload as the integer 0.
-        """
-        current = self._get(key) or _NO_EXPERIENCE
+        """Record one execution outcome and the posterior snapshot after it."""
+        scope = (key.action, key.mode, key.target)
+        current = self._scopes.get(scope, _NO_RECORDS).get(key.candidate, _NO_EXPERIENCE)
         ok = bool(outcome)
-        updated = ExperienceRecord(current.n_success + ok, current.n_failure + (not ok), float(posterior) + 0.0)
-        self._put(key, updated)
+        updated = ExperienceRecord(current.n_success + ok, current.n_failure + (not ok), posterior)
+        self._scopes.setdefault(scope, {})[key.candidate] = updated
         return updated
 
     def set_posterior(self, key: ExperienceKey, posterior: float) -> ExperienceRecord:
@@ -132,17 +123,16 @@ class KnowledgeBase:
 
         Creates a zero-count entry when the key is new: after an execution
         round the whole selection distribution must survive a reload, not
-        just the executed candidate's share. -0.0 is stored as 0.0, as in
-        ``append``.
+        just the executed candidate's share. ``set_posteriors`` for one
+        candidate.
         """
-        current = self._get(key) or _NO_EXPERIENCE
-        updated = ExperienceRecord(current.n_success, current.n_failure, float(posterior) + 0.0)
-        self._put(key, updated)
-        return updated
+        self.set_posteriors(key.action, key.mode, key.target, (key.candidate,), (posterior,))
+        return self._scopes[key.action, key.mode, key.target][key.candidate]
 
     def set_posteriors(self, action: str, mode: str, target: str,
                        candidates: Iterable[str], posteriors: Iterable[float]) -> None:
-        """``set_posterior`` for each (candidate, posterior) pair of one scope.
+        """Overwrite the posterior snapshot of each candidate of one scope,
+        keeping its counts or creating a zero-count entry.
 
         All or nothing: every record is built and checked before the first
         is written, so a bad posterior, an empty or non-string candidate, or
@@ -156,7 +146,7 @@ class KnowledgeBase:
         for candidate, posterior in zip(candidates, posteriors, strict=True):
             check_key_field("candidate", candidate)
             rec = current.get(candidate, _NO_EXPERIENCE)
-            updated[candidate] = ExperienceRecord(rec.n_success, rec.n_failure, float(posterior) + 0.0)
+            updated[candidate] = ExperienceRecord(rec.n_success, rec.n_failure, posterior)
         if updated:
             self._scopes.setdefault((action, mode, target), {}).update(updated)
 
@@ -256,9 +246,10 @@ class KnowledgeBase:
                 rec = ExperienceRecord(entry["n_success"], entry["n_failure"], float(entry["posterior"]))
             except (ValueError, OverflowError) as exc:
                 raise SchemaError(f"entry {i}: {exc}") from exc
-            if kb._get(key) is not None:
+            records = kb._scopes.setdefault((key.action, key.mode, key.target), {})
+            if key.candidate in records:
                 raise SchemaError(f"entry {i}: duplicate key {key.as_tuple()!r}")
-            kb._put(key, rec)
+            records[key.candidate] = rec
         return kb
 
     # -- file I/O ------------------------------------------------------------

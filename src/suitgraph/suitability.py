@@ -130,17 +130,19 @@ class ExperienceRecord:
             raise ValueError(f"trial counts above the int64 maximum {COUNT_MAX}")
         if not (0.0 <= self.posterior <= 1.0):
             raise ValueError(f"posterior out of range [0, 1]: {self.posterior!r}")
+        # -0.0 is kept as 0.0: exported as "-0", it would reload as the integer 0
+        object.__setattr__(self, "posterior", float(self.posterior) + 0.0)
 
     @property
     def trial_count(self) -> int:
         return self.n_success + self.n_failure
 
 
-def beta_parameters(record: ExperienceRecord, cfg: SuitabilityConfig) -> tuple[float, float]:
-    """Clamped posterior parameters (alpha0 + N+ - 1, beta0 + N- - 1)."""
-    a = cfg.alpha0 + record.n_success - 1.0
-    b = cfg.beta0 + record.n_failure - 1.0
-    return max(a, PARAM_FLOOR), max(b, PARAM_FLOOR)
+def beta_parameters(n_success, n_failure, cfg: SuitabilityConfig):
+    """Clamped posterior parameters (alpha0 + N+ - 1, beta0 + N- - 1), for a
+    pair of counts or for two count columns."""
+    return (np.maximum(cfg.alpha0 + n_success - 1.0, PARAM_FLOOR),
+            np.maximum(cfg.beta0 + n_failure - 1.0, PARAM_FLOOR))
 
 
 def success_probability(record: ExperienceRecord, cfg: SuitabilityConfig, rng: np.random.Generator) -> float:
@@ -148,28 +150,19 @@ def success_probability(record: ExperienceRecord, cfg: SuitabilityConfig, rng: n
 
     Stochastic by design; the sampling noise is the selection loop's
     exploration mechanism. Result is clipped strictly inside (0, 1).
+    ``update_posteriors`` draws the same values for every candidate at once.
     """
-    a, b = beta_parameters(record, cfg)
+    a, b = beta_parameters(record.n_success, record.n_failure, cfg)
     draws = rng.beta(a, b, size=cfg.beta_sample_count)
     m = float(draws.mean())
     return min(max(m, _ESTIMATE_EPS), 1.0 - _ESTIMATE_EPS)
 
 
-def deterministic_success_probability(record: ExperienceRecord, cfg: SuitabilityConfig) -> float:
-    """Analytic posterior mean alpha/(alpha+beta); used by the heuristics."""
-    a, b = beta_parameters(record, cfg)
+def deterministic_success_probability(n_success, n_failure, cfg: SuitabilityConfig):
+    """Analytic posterior mean alpha/(alpha+beta), for a pair of counts or
+    for two count columns; used by the heuristics and the reports."""
+    a, b = beta_parameters(n_success, n_failure, cfg)
     return a / (a + b)
-
-
-def beta_parameter_columns(n_success: np.ndarray, n_failure: np.ndarray,
-                           cfg: SuitabilityConfig) -> tuple[np.ndarray, np.ndarray]:
-    """beta_parameters for every row of the count columns."""
-    return (np.maximum(cfg.alpha0 + n_success - 1.0, PARAM_FLOOR),
-            np.maximum(cfg.beta0 + n_failure - 1.0, PARAM_FLOOR))
-
-
-# estimator signature: (candidate, record, cfg, rng) -> probability in (0, 1]
-Estimator = Callable[[str, ExperienceRecord, SuitabilityConfig, np.random.Generator], float]
 
 
 def _left_sum(values: np.ndarray) -> float:
@@ -185,7 +178,8 @@ class SuitabilityGraph:
     ``candidates`` lists the object cluster members at construction time in
     sorted order, and row i of every column belongs to ``candidates[i]``:
     the fixed similarity, the outcome counts (n+, n-) and the posterior.
-    Posteriors always sum to 1 after an update.
+    Posteriors always sum to 1 after an update. A graph with no candidates
+    cannot be made (EmptyClusterError), so nothing that takes a graph checks.
     """
 
     target: str
@@ -201,6 +195,8 @@ class SuitabilityGraph:
     log_similarity: list[float] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not self.candidates:
+            raise EmptyClusterError(self.target)
         self.log_similarity = [math.log(s) for s in self.similarity.tolist()]
 
     def index(self, candidate: str) -> int:
@@ -231,8 +227,6 @@ def init_graph(
     mode: str = "default",
 ) -> SuitabilityGraph:
     """Graph over the cluster with uniform posteriors and zero counts."""
-    if not cluster.members:
-        raise EmptyClusterError(cluster.target)
     names = sorted(cluster.members)
     sims = []
     for member in names:
@@ -245,49 +239,31 @@ def init_graph(
         sims.append(s)
     k = len(names)
     zeros = np.zeros(k, dtype=np.int64)
+    # an empty cluster gives k = 0 and an empty column; the graph refuses it
     return SuitabilityGraph(cluster.target, action, mode, cfg, names, np.array(sims),
-                            zeros, zeros.copy(), np.full(k, 1.0 / k))
+                            zeros, zeros.copy(), np.full(k, 1.0) / k)
 
 
-def update_posteriors(
-    graph: SuitabilityGraph,
-    cfg: SuitabilityConfig,
-    rng: np.random.Generator,
-    estimator: Estimator | None = None,
-) -> SuitabilityGraph:
+def update_posteriors(graph: SuitabilityGraph, rng: np.random.Generator) -> SuitabilityGraph:
     """One multiplicative posterior update over all candidates.
 
     Per candidate: similarity * success_estimate * previous posterior,
     accumulated in log space, shifted by the maximum, exponentiated, and
-    normalized. The sampled estimates come from one beta draw over all
-    candidates in sorted name order, the same draws and generator state as
-    success_probability called per candidate in that order; this ordering
-    is part of the reproducibility contract. A candidate whose posterior
-    has reached exactly 0 stays at 0. Raises NormalizationError if every
-    candidate vanished.
-
-    ``estimator`` replaces the sampled beta estimate when given (tests stub
-    it with constants): it is called once per candidate in sorted order and
-    must return values in (0, 1].
+    normalized. The sampled estimates under ``graph.cfg`` come from one
+    ``rng.beta`` call over all candidates in sorted name order, the same
+    draws and generator state as success_probability called per candidate
+    in that order; this ordering is part of the reproducibility contract.
+    A candidate whose posterior has reached exactly 0 stays at 0. Raises
+    NormalizationError if every candidate vanished.
     """
-    names = graph.candidates
-    if not names:
-        raise EmptyClusterError(graph.target)
+    cfg = graph.cfg
     post = graph.post.tolist()
-    if estimator is None:
-        # row i draws what success_probability draws for candidate i: the
-        # array fills row by row, and a row mean reduces a contiguous row
-        # exactly as the mean of one candidate's draws does
-        a, b = beta_parameter_columns(graph.n_success, graph.n_failure, cfg)
-        draws = rng.beta(a[:, None], b[:, None], size=(len(names), cfg.beta_sample_count))
-        estimates = np.clip(draws.mean(axis=1), _ESTIMATE_EPS, 1.0 - _ESTIMATE_EPS).tolist()
-    else:
-        estimates = []
-        for name, ns, nf, prior in zip(names, graph.n_success.tolist(), graph.n_failure.tolist(), post):
-            p = float(estimator(name, ExperienceRecord(ns, nf, prior), cfg, rng))
-            if not (0.0 < p <= 1.0) or not math.isfinite(p):
-                raise ValueError(f"success estimate for {name!r} must lie in (0, 1], got {p!r}")
-            estimates.append(p)
+    # row i draws what success_probability draws for candidate i: the array
+    # fills row by row, and a row mean reduces a contiguous row exactly as
+    # the mean of one candidate's draws does
+    a, b = beta_parameters(graph.n_success, graph.n_failure, cfg)
+    draws = rng.beta(a[:, None], b[:, None], size=(len(graph.candidates), cfg.beta_sample_count))
+    estimates = np.clip(draws.mean(axis=1), _ESTIMATE_EPS, 1.0 - _ESTIMATE_EPS).tolist()
 
     # math.log/exp per element and a left-to-right sum: numpy's log, exp and
     # pairwise np.sum differ from them in the last bit, which changes selections
@@ -300,7 +276,7 @@ def update_posteriors(
         raise NormalizationError(f"all candidate posteriors vanished for target {graph.target!r}")
     weights = np.array([math.exp(v - shift) for v in log_unnorm])
     graph.post = weights / _left_sum(weights)
-    graph.last_estimates = dict(zip(names, estimates))
+    graph.last_estimates = dict(zip(graph.candidates, estimates))
     return graph
 
 
@@ -320,8 +296,6 @@ def argmax_random_ties(names: Sequence[str], values, rng: np.random.Generator) -
 
 def select_model(graph: SuitabilityGraph, rng: np.random.Generator) -> str:
     """Candidate with the maximal posterior; ties broken uniformly at random."""
-    if not graph.candidates:
-        raise EmptyClusterError(graph.target)
     return argmax_random_ties(graph.candidates, graph.post, rng)
 
 
@@ -348,7 +322,8 @@ def generalisation_check(
     for sibling in sorted(siblings):
         if sibling not in records:
             raise MissingRecordError(sibling)
-        if deterministic_success_probability(records[sibling], cfg) < cfg.tau:
+        record = records[sibling]
+        if deterministic_success_probability(record.n_success, record.n_failure, cfg) < cfg.tau:
             return False
     return True
 
@@ -370,7 +345,8 @@ def specification_check(
     for member in sorted(cluster.members):
         if member not in records:
             raise MissingRecordError(member)
-        failure = 1.0 - deterministic_success_probability(records[member], cfg)
+        record = records[member]
+        failure = 1.0 - deterministic_success_probability(record.n_success, record.n_failure, cfg)
         if failure < cfg.tau:
             return False
     return True
@@ -488,7 +464,8 @@ def generalise_execution_model(
     later rounds reuse it, renormalising it as a rebuild from the store
     would, and record only the outcome. The caller then writes each kept
     graph's snapshots with ``store_posteriors``. A kept graph does not read
-    the store, registry or taxonomy again: nothing else may change them
+    the store, registry, taxonomy or ``cfg`` again (its update uses the
+    ``graph.cfg`` it was built with): nothing else may change them
     while the dict is in use, and an executor error invalidates it. Dry
     runs take no ``beliefs``.
     """
@@ -527,7 +504,7 @@ def generalise_execution_model(
     else:
         graph.post = _normalised(graph.post)
 
-    update_posteriors(graph, cfg, rng)
+    update_posteriors(graph, rng)
     chosen = selector(graph, rng) if selector is not None else select_model(graph, rng)
     try:
         row = graph.index(chosen)

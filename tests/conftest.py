@@ -55,6 +55,28 @@ def make_rng(seed: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+class FixedEstimates:
+    """Stands in for the generator of ``update_posteriors``.
+
+    ``update_posteriors`` makes one ``beta`` call with a column of
+    parameters per candidate, rows in sorted name order. On a graph whose
+    config takes one draw per estimate (``beta_sample_count=1``), a row's
+    single draw is its success estimate, so this stand-in sets the
+    estimate of each candidate to ``estimates[name]``. ``params`` keeps the
+    (alpha, beta) columns of every call.
+    """
+
+    def __init__(self, estimates):
+        self.estimates = dict(estimates)
+        self.params = []
+
+    def beta(self, a, b, size):
+        names = sorted(self.estimates)
+        assert size == (len(names), 1), size
+        self.params.append((a[:, 0].tolist(), b[:, 0].tolist()))
+        return np.array([[self.estimates[name]] for name in names])
+
+
 def random_parent_map(rng: np.random.Generator, max_nodes: int = 50) -> dict:
     """Random rooted tree as a parent map; node i's parent is among 0..i-1."""
     n = int(rng.integers(1, max_nodes + 1))

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import FIXTURE_CLUSTER_SIZES, FIXTURE_MODELS, make_rng, random_parent_map
+from conftest import FIXTURE_CLUSTER_SIZES, FIXTURE_MODELS, FixedEstimates, make_rng, random_parent_map
 
 from suitgraph import (
     CampaignConfig,
@@ -93,8 +93,7 @@ def test_criterion_2_threshold_crossing():
     try:
         cfg = SuitabilityConfig(alpha0=3.0, beta0=3.0, tau=0.6)
         means = {
-            n_plus: deterministic_success_probability(
-                ExperienceRecord(n_success=n_plus, n_failure=10 - n_plus), cfg)
+            n_plus: deterministic_success_probability(n_plus, 10 - n_plus, cfg)
             for n_plus in range(11)
         }
         crossing = min(n for n, p in means.items() if p >= cfg.tau)
@@ -114,10 +113,11 @@ def test_criterion_2_threshold_crossing():
 
 
 def _make_graph(sims, priors):
-    cfg = SuitabilityConfig()
+    # one beta draw per estimate, so FixedEstimates sets the estimates
+    cfg = SuitabilityConfig(beta_sample_count=1)
     graph = init_graph(ObjectCluster("t", frozenset(sims)), sims, cfg)
     graph.post = np.array([priors[name] for name in graph.candidates])
-    return graph, cfg
+    return graph
 
 
 def _naive(sims, priors, estimates):
@@ -130,10 +130,8 @@ def test_criterion_3_update_oracle():
     ok = False
     try:
         # hand oracle: 0.45 and 0.15 raw mass, so 3/4 and 1/4
-        graph, cfg = _make_graph({"a": 0.9, "b": 0.3}, {"a": 0.5, "b": 0.5})
-        est = {"a": 0.5, "b": 0.5}
-        update_posteriors(graph, cfg, make_rng(0),
-                          estimator=lambda n, r, c, g: est[n])
+        graph = _make_graph({"a": 0.9, "b": 0.3}, {"a": 0.5, "b": 0.5})
+        update_posteriors(graph, FixedEstimates({"a": 0.5, "b": 0.5}))
         hand_ok = (
             abs(graph.posterior("a") - 0.75) <= UPDATE_TOLERANCE
             and abs(graph.posterior("b") - 0.25) <= UPDATE_TOLERANCE
@@ -149,9 +147,8 @@ def test_criterion_3_update_oracle():
             total = sum(raw.values())
             priors = {m: v / total for m, v in raw.items()}
             estimates = {m: float(rng.uniform(0.01, 0.99)) for m in names}
-            graph, cfg = _make_graph(sims, priors)
-            update_posteriors(graph, cfg, rng,
-                              estimator=lambda nm, r, c, g: estimates[nm])
+            graph = _make_graph(sims, priors)
+            update_posteriors(graph, FixedEstimates(estimates))
             expected = _naive(sims, priors, estimates)
             worst = max(worst, max(abs(graph.posterior(m) - expected[m]) for m in names))
         ok = hand_ok and worst <= UPDATE_TOLERANCE

@@ -53,6 +53,22 @@ def test_cluster_two_candidates(capsys):
     assert capsys.readouterr().out == "chips_can\nsugar_box\nsize: 2\n"
 
 
+@pytest.mark.parametrize("command", ["cluster", "select", "simulate", "teach"])
+def test_negative_max_ancestors_exit_code(capsys, monkeypatch, tmp_path, command):
+    monkeypatch.setattr("sys.stdin", io.StringIO("y\n"))
+    if command == "simulate":
+        args = ["--gt", write_gt(tmp_path, {("banana", "apple"): 0.9}), "--out", str(tmp_path / "out")]
+    else:
+        args = ["--kb", str(tmp_path / "kb.json")] if command == "teach" else []
+        args.append("banana")
+    rc = main([command, "--ontology", ONTOLOGY, "--models", MODELS, "--max-ancestors", "-3", *args])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "max_ancestor_hops must be None or >= 0, got -3" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["gt.json"] if command == "simulate" else [])
+
+
 def test_cluster_repeatable_models_flag(capsys):
     rc = main(["cluster", "--ontology", ONTOLOGY,
                "--models", "apple,chips_can", "--models", "sugar_box", "tomato_can"])

@@ -272,6 +272,18 @@ def test_relatives_ancestor_cap(household):
     assert rel == {"banana", "orange", "strawberry", "fruit"}
 
 
+@pytest.mark.parametrize("cap", [-1, -3])
+def test_relatives_rejects_negative_cap(household, cap):
+    with pytest.raises(ValueError, match="max_ancestor_hops"):
+        household.relatives("apple", max_ancestor_hops=cap)
+    with pytest.raises(ValueError, match="max_ancestor_hops"):
+        household.object_cluster("banana", FIXTURE_MODELS.__contains__, max_ancestor_hops=cap)
+
+
+def test_relatives_zero_cap_has_no_ancestors(household):
+    assert household.relatives("apple", max_ancestor_hops=0) == {"banana", "orange", "strawberry"}
+
+
 def test_cluster_sizes_match_reference(household):
     for target, size in FIXTURE_CLUSTER_SIZES.items():
         cluster = household.object_cluster(target, FIXTURE_MODELS.__contains__)

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_MODELS, make_rng, random_parent_map
@@ -24,9 +24,12 @@ from suitgraph.simulate import (
     baseline_select,
     report_csv,
     report_json,
+    TrialLog,
+    TrialStep,
     simulate_execution,
     summarize,
 )
+from suitgraph.suitability import PARAM_FLOOR
 
 CFG = SuitabilityConfig()
 
@@ -422,6 +425,49 @@ def test_summary_own_model_target(household):
     assert row.o_star == "apple"
     assert row.n_success == 5
     assert row.models_attempted == 1
+
+
+def reference_o_star(counts, cfg):
+    """Per-candidate o_star: the best posterior mean among those reaching
+    tau, the lexicographically first on a tie, "/" when none reaches it."""
+    qualified = {}
+    for cand, (ns, nf) in counts.items():
+        a = max(cfg.alpha0 + ns - 1.0, PARAM_FLOOR)
+        b = max(cfg.beta0 + nf - 1.0, PARAM_FLOOR)
+        if a / (a + b) >= cfg.tau:
+            qualified[cand] = a / (a + b)
+    if not qualified:
+        return "/"
+    top = max(qualified.values())
+    return min(c for c, m in qualified.items() if m == top)
+
+
+_count = st.one_of(st.integers(0, 6), st.integers(0, 2**63 - 1))
+_last_counts = st.dictionaries(st.sampled_from(["c", "a", "d", "b", "e"]), st.tuples(_count, _count), max_size=5)
+_summary_cfg = st.builds(
+    SuitabilityConfig,
+    alpha0=st.sampled_from([0.5, 1.0, 3.0]),
+    beta0=st.sampled_from([0.5, 1.0, 3.0]),
+    tau=st.sampled_from([0.1, 0.5, 0.6, 0.9]),
+)
+
+
+@given(st.lists(_last_counts, min_size=1, max_size=4), _summary_cfg)
+@example([{"b": (4, 0), "a": (4, 0), "c": (1, 1)}], CFG)  # tie at the top
+@example([{"b": (0, 4), "a": (1, 1)}], CFG)  # none reaches tau
+@example([{}], CFG)  # empty counts: an empty cluster's round
+@example([{"a": (2, 3), "b": (5, 0)}, {"a": (9, 0), "b": (9, 0)}], SuitabilityConfig(alpha0=1.0, beta0=1.0))
+def test_summary_o_star_matches_per_candidate_reference(last_counts, cfg):
+    targets = tuple(f"t{i}" for i in range(len(last_counts)))
+    steps = [
+        TrialStep(trial=0, target=target, cluster_size=len(counts), selected=None, outcome=None,
+                  own_model=False, specification_needed=not counts, similarities={},
+                  estimates={}, posteriors={}, counts=counts)
+        for target, counts in zip(targets, last_counts)
+    ]
+    rows = summarize(TrialLog(CampaignConfig(targets=targets, cfg=cfg), steps))
+    assert [row.o_star for row in rows] == [reference_o_star(counts, cfg) for counts in last_counts]
+    assert all(type(row.o_star) is str for row in rows)
 
 
 def test_report_csv_shape(household):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURE_MODELS, make_rng
+from conftest import FIXTURE_MODELS, FixedEstimates, make_rng
 from suitgraph import (
     EmptyClusterError,
     ExperienceKey,
@@ -27,6 +27,7 @@ from suitgraph.suitability import (
     BETA_SAMPLE_MAX,
     PARAM_FLOOR,
     ExperienceRecord,
+    SuitabilityGraph,
     _left_sum,
     beta_parameters,
     deterministic_success_probability,
@@ -36,6 +37,8 @@ from suitgraph.suitability import (
 )
 
 CFG = SuitabilityConfig()  # alpha0=3, beta0=3, tau=0.6, 10 draws
+# one beta draw per estimate: FixedEstimates then sets the estimates
+ONE_DRAW = SuitabilityConfig(beta_sample_count=1)
 
 
 def cluster_of(*members, target="t"):
@@ -46,10 +49,6 @@ def uniform_graph(*members, sims=None, cfg=CFG):
     members = list(members)
     similarities = sims if sims is not None else {m: 0.8 for m in members}
     return init_graph(cluster_of(*members), similarities, cfg)
-
-
-def constant_estimator(values):
-    return lambda name, record, cfg, rng: values[name]
 
 
 # -- configuration and record types -------------------------------------------
@@ -105,19 +104,31 @@ def test_left_sum_adds_left_to_right(values):
 
 
 def test_beta_parameters_offset():
-    assert beta_parameters(ExperienceRecord(0, 0), CFG) == (2.0, 2.0)
-    assert beta_parameters(ExperienceRecord(9, 1), CFG) == (11.0, 3.0)
+    assert beta_parameters(0, 0, CFG) == (2.0, 2.0)
+    assert beta_parameters(9, 1, CFG) == (11.0, 3.0)
 
 
 def test_beta_parameters_clamped():
     cfg = SuitabilityConfig(alpha0=1.0, beta0=1.0)
-    a, b = beta_parameters(ExperienceRecord(0, 5), cfg)
+    a, b = beta_parameters(0, 5, cfg)
     assert a == 1e-6
     assert b == 5.0
 
 
+@given(st.lists(st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1)), max_size=20),
+       st.sampled_from([CFG, SuitabilityConfig(alpha0=0.5, beta0=0.8), SuitabilityConfig(alpha0=2.5, beta0=1e-3)]))
+def test_beta_parameters_columns_equal_pairs(counts, cfg):
+    # count columns give, row by row, the same floats as each pair of counts
+    n_success = np.array([ns for ns, _ in counts], dtype=np.int64)
+    n_failure = np.array([nf for _, nf in counts], dtype=np.int64)
+    a, b = beta_parameters(n_success, n_failure, cfg)
+    mean = deterministic_success_probability(n_success, n_failure, cfg)
+    assert list(zip(a.tolist(), b.tolist())) == [beta_parameters(ns, nf, cfg) for ns, nf in counts]
+    assert mean.tolist() == [deterministic_success_probability(ns, nf, cfg) for ns, nf in counts]
+
+
 def test_deterministic_mean_fresh_record():
-    assert deterministic_success_probability(ExperienceRecord(), CFG) == 0.5
+    assert deterministic_success_probability(0, 0, CFG) == 0.5
 
 
 @pytest.mark.parametrize(
@@ -131,7 +142,7 @@ def test_deterministic_mean_fresh_record():
     ],
 )
 def test_deterministic_mean_oracle(ns, nf, expected):
-    got = deterministic_success_probability(ExperienceRecord(ns, nf), CFG)
+    got = deterministic_success_probability(ns, nf, CFG)
     assert got == pytest.approx(float(expected), abs=1e-15)
 
 
@@ -139,9 +150,8 @@ def test_deterministic_mean_exhaustive_small_counts():
     # closed form against exact rational arithmetic for every count split
     for n in range(0, 21):
         for ns in range(0, n + 1):
-            rec = ExperienceRecord(ns, n - ns)
             want = Fraction(2 + ns, 4 + n)  # (alpha0 + ns - 1) / (alpha0 + beta0 + n - 2)
-            assert deterministic_success_probability(rec, CFG) == pytest.approx(
+            assert deterministic_success_probability(ns, n - ns, CFG) == pytest.approx(
                 float(want), abs=1e-15)
 
 
@@ -172,7 +182,7 @@ def test_sampled_estimate_concentrates_with_count():
     rec = ExperienceRecord(900, 100)
     cfg = SuitabilityConfig(beta_sample_count=100)
     value = success_probability(rec, cfg, make_rng(5))
-    assert value == pytest.approx(deterministic_success_probability(rec, cfg), abs=0.02)
+    assert value == pytest.approx(deterministic_success_probability(900, 100, cfg), abs=0.02)
 
 
 # -- graph construction ------------------------------------------------------------
@@ -193,6 +203,25 @@ def test_init_graph_empty_cluster():
         init_graph(ObjectCluster("t", frozenset()), {}, CFG)
 
 
+def test_every_graph_maker_refuses_an_empty_cluster(household):
+    empty = ObjectCluster("thing", frozenset())
+    kb = KnowledgeBase(CFG)
+    with pytest.raises(EmptyClusterError):
+        init_graph(empty, {}, CFG)
+    with pytest.raises(EmptyClusterError):
+        graph_from_store(empty, household, kb, CFG)
+    with pytest.raises(EmptyClusterError):
+        SuitabilityGraph("thing", "default", "default", CFG, [], np.zeros(0), np.zeros(0, dtype=np.int64),
+                         np.zeros(0, dtype=np.int64), np.zeros(0))
+    # the round asks for a new model instead of making a graph
+    beliefs = {}
+    round_result = generalise_execution_model("thing", household, FIXTURE_MODELS, kb, CFG,
+                                              lambda obj, model: True, make_rng(0), beliefs=beliefs)
+    assert round_result == (None, None)
+    assert beliefs == {}
+    assert len(kb) == 0
+
+
 def test_init_graph_missing_similarity():
     with pytest.raises(ValueError, match="missing similarity for candidate 'b'"):
         init_graph(cluster_of("a", "b"), {"a": 0.5}, CFG)
@@ -210,11 +239,20 @@ def test_init_graph_similarity_range(bad):
 def test_update_hand_oracle():
     # equal similarities 0.8, stubbed estimates 0.9 / 0.3, uniform prior:
     # unnormalized (0.36, 0.12) * 0.5 -> posteriors 0.75 / 0.25
-    g = uniform_graph("strong", "weak")
-    update_posteriors(g, CFG, make_rng(0), estimator=constant_estimator({"strong": 0.9, "weak": 0.3}))
+    g = uniform_graph("strong", "weak", cfg=ONE_DRAW)
+    update_posteriors(g, FixedEstimates({"strong": 0.9, "weak": 0.3}))
     assert g.posterior("strong") == pytest.approx(0.75, abs=1e-12)
     assert g.posterior("weak") == pytest.approx(0.25, abs=1e-12)
     assert g.last_estimates == {"strong": 0.9, "weak": 0.3}
+
+
+def per_candidate_estimates(graph, rng):
+    """Reference for the batched draw: success_probability called once per
+    candidate, in sorted name order, on one generator."""
+    return {
+        name: success_probability(ExperienceRecord(ns, nf), graph.cfg, rng)
+        for name, (ns, nf) in sorted(graph.counts().items())
+    }
 
 
 @pytest.mark.parametrize("samples", [1, 10, 33])
@@ -226,19 +264,18 @@ def test_batched_draw_matches_per_candidate_calls(k, samples):
     g = uniform_graph(*names, sims={n: (i + 1) / k for i, n in enumerate(names)}, cfg=cfg)
     counts = make_rng(k).integers(0, 4, size=(k, 2))
     counts[0] = 0
-    assert beta_parameters(ExperienceRecord(0, 0), cfg) == (PARAM_FLOOR, PARAM_FLOOR)
+    assert beta_parameters(0, 0, cfg) == (PARAM_FLOOR, PARAM_FLOOR)
     g.n_success[:] = counts[:, 0]
     g.n_failure[:] = counts[:, 1]
 
-    per_candidate = uniform_graph(*names, sims=g.similarities(), cfg=cfg)
-    per_candidate.n_success[:] = g.n_success
-    per_candidate.n_failure[:] = g.n_failure
     rng, ref_rng = make_rng(3), make_rng(3)
-    update_posteriors(g, cfg, rng)
-    update_posteriors(per_candidate, cfg, ref_rng,
-                      estimator=lambda name, record, c, gen: success_probability(record, c, gen))
+    want = per_candidate_estimates(g, ref_rng)
+    # the same update fed the reference estimates
+    per_candidate = uniform_graph(*names, sims=g.similarities(), cfg=ONE_DRAW)
+    update_posteriors(per_candidate, FixedEstimates(want))
+    update_posteriors(g, rng)
 
-    assert g.last_estimates == per_candidate.last_estimates
+    assert g.last_estimates == want
     assert list(g.last_estimates) == sorted(names)
     assert g.posteriors() == per_candidate.posteriors()
     assert rng.random() == ref_rng.random()
@@ -246,33 +283,35 @@ def test_batched_draw_matches_per_candidate_calls(k, samples):
 
 def test_update_normalizes_to_one():
     g = uniform_graph("a", "b", "c", sims={"a": 0.3, "b": 0.6, "c": 0.9})
-    update_posteriors(g, CFG, make_rng(1))
+    update_posteriors(g, make_rng(1))
     assert sum(g.posteriors().values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_update_visits_candidates_sorted():
-    calls = []
+    # one beta call whose rows follow the sorted names, whatever the cluster order
+    g = uniform_graph("zeta", "alpha", "mid", cfg=ONE_DRAW)
+    g.n_success[:] = [0, 1, 2]  # alpha, mid, zeta
+    g.n_failure[:] = [5, 4, 3]
+    fake = FixedEstimates({"zeta": 0.1, "alpha": 0.7, "mid": 0.4})
+    update_posteriors(g, fake)
+    assert fake.params == [([2.0, 3.0, 4.0], [7.0, 6.0, 5.0])]
+    assert g.last_estimates == {"alpha": 0.7, "mid": 0.4, "zeta": 0.1}
+    assert list(g.last_estimates) == ["alpha", "mid", "zeta"]
 
-    def spy(name, record, cfg, rng):
-        calls.append(name)
-        return 0.5
 
-    g = uniform_graph("zeta", "alpha", "mid")
-    update_posteriors(g, CFG, make_rng(0), estimator=spy)
-    assert calls == ["alpha", "mid", "zeta"]
-
-
-@pytest.mark.parametrize("bad", [0.0, -0.5, 1.0001, math.nan])
-def test_update_rejects_invalid_estimates(bad):
-    g = uniform_graph("a", "b")
-    with pytest.raises(ValueError, match="success estimate"):
-        update_posteriors(g, CFG, make_rng(0), estimator=constant_estimator({"a": bad, "b": 0.5}))
+@pytest.mark.parametrize("draw, estimate", [(0.0, 1e-12), (1.0, 1.0 - 1e-12), (1e-300, 1e-12)])
+def test_update_clips_sampled_estimates(draw, estimate):
+    # a beta draw at or next to 0 or 1 becomes an estimate inside (0, 1)
+    g = uniform_graph("a", "b", cfg=ONE_DRAW)
+    update_posteriors(g, FixedEstimates({"a": draw, "b": 0.5}))
+    assert g.last_estimates == {"a": estimate, "b": 0.5}
+    assert all(0.0 < p < 1.0 for p in g.posteriors().values())
 
 
 def test_update_zero_prior_stays_zero():
     g = uniform_graph("a", "b")
     g.post = np.array([0.0, 1.0])
-    update_posteriors(g, CFG, make_rng(0))
+    update_posteriors(g, make_rng(0))
     assert g.posterior("a") == 0.0
     assert g.posterior("b") == 1.0
 
@@ -281,14 +320,14 @@ def test_update_all_zero_priors_raises():
     g = uniform_graph("a", "b")
     g.post = np.array([0.0, 0.0])
     with pytest.raises(NormalizationError):
-        update_posteriors(g, CFG, make_rng(0))
+        update_posteriors(g, make_rng(0))
 
 
 def test_update_survives_subnormal_priors():
     # linear-space products would flush to zero here; log space must not
-    g = uniform_graph("a", "b")
+    g = uniform_graph("a", "b", cfg=ONE_DRAW)
     g.post = np.array([1e-300, 1e-300])
-    update_posteriors(g, CFG, make_rng(0), estimator=constant_estimator({"a": 1e-6, "b": 1e-6}))
+    update_posteriors(g, FixedEstimates({"a": 1e-6, "b": 1e-6}))
     assert g.posterior("a") == pytest.approx(0.5, abs=1e-12)
     assert g.posterior("b") == pytest.approx(0.5, abs=1e-12)
 
@@ -313,9 +352,9 @@ def test_update_matches_naive_product(n, pyrandom):
     priors = {m: raw[m] / total for m in names}
     estimates = {m: pyrandom.uniform(0.01, 0.99) for m in names}
 
-    g = init_graph(cluster_of(*names), sims, CFG)
+    g = init_graph(cluster_of(*names), sims, ONE_DRAW)
     g.post = np.array([priors[m] for m in g.candidates])
-    update_posteriors(g, CFG, make_rng(0), estimator=constant_estimator(estimates))
+    update_posteriors(g, FixedEstimates(estimates))
 
     want = _naive_update(sims, priors, estimates)
     for m in names:
@@ -325,12 +364,12 @@ def test_update_matches_naive_product(n, pyrandom):
 def test_monotone_dominance_ratio():
     # constant estimates p1 > p2 with equal similarity: the posterior ratio
     # multiplies by p1/p2 each step and the winner's share is increasing
-    g = uniform_graph("hi", "lo")
-    est = constant_estimator({"hi": 0.9, "lo": 0.3})
+    g = uniform_graph("hi", "lo", cfg=ONE_DRAW)
+    est = FixedEstimates({"hi": 0.9, "lo": 0.3})
     prev_ratio = 1.0
     prev_hi = g.posterior("hi")
     for _ in range(12):
-        update_posteriors(g, CFG, make_rng(0), estimator=est)
+        update_posteriors(g, est)
         ratio = g.posterior("hi") / g.posterior("lo")
         assert ratio / prev_ratio == pytest.approx(3.0, rel=1e-9)
         assert g.posterior("hi") > prev_hi
@@ -341,8 +380,8 @@ def test_monotone_dominance_ratio():
 
 def test_experience_overrides_similarity_prior():
     # low-similarity candidate with strong estimates takes the lead in one step
-    g = uniform_graph("near", "far", sims={"near": 0.9, "far": 0.5})
-    update_posteriors(g, CFG, make_rng(0), estimator=constant_estimator({"near": 0.2, "far": 0.9}))
+    g = uniform_graph("near", "far", sims={"near": 0.9, "far": 0.5}, cfg=ONE_DRAW)
+    update_posteriors(g, FixedEstimates({"near": 0.2, "far": 0.9}))
     assert g.posterior("far") > g.posterior("near")
 
 
@@ -350,9 +389,8 @@ def test_similarity_orders_fresh_candidates():
     # identical (empty) experience: deterministic estimates are equal, so the
     # posterior ordering equals the similarity ordering
     sims = {"a": 0.3, "b": 0.9, "c": 0.6}
-    g = uniform_graph("a", "b", "c", sims=sims)
-    det = lambda name, record, cfg, rng: deterministic_success_probability(record, cfg)
-    update_posteriors(g, CFG, make_rng(0), estimator=det)
+    g = uniform_graph("a", "b", "c", sims=sims, cfg=ONE_DRAW)
+    update_posteriors(g, FixedEstimates({m: deterministic_success_probability(0, 0, CFG) for m in sims}))
     posts = g.posteriors()
     assert posts["b"] > posts["c"] > posts["a"]
 
@@ -361,10 +399,10 @@ def test_scaling_similarities_preserves_posteriors():
     # a global similarity scale factor is absorbed by normalization
     base = {"a": 0.2, "b": 0.5, "c": 0.35}
     est = {"a": 0.4, "b": 0.7, "c": 0.2}
-    g1 = uniform_graph("a", "b", "c", sims=base)
-    g2 = uniform_graph("a", "b", "c", sims={m: s * 0.5 for m, s in base.items()})
+    g1 = uniform_graph("a", "b", "c", sims=base, cfg=ONE_DRAW)
+    g2 = uniform_graph("a", "b", "c", sims={m: s * 0.5 for m, s in base.items()}, cfg=ONE_DRAW)
     for g in (g1, g2):
-        update_posteriors(g, CFG, make_rng(0), estimator=constant_estimator(est))
+        update_posteriors(g, FixedEstimates(est))
     for m in base:
         assert g1.posterior(m) == pytest.approx(g2.posterior(m), abs=1e-12)
 
@@ -373,8 +411,8 @@ def test_scaling_similarities_preserves_posteriors():
 
 
 def test_select_unique_argmax_deterministic():
-    g = uniform_graph("a", "b")
-    update_posteriors(g, CFG, make_rng(0), estimator=constant_estimator({"a": 0.9, "b": 0.2}))
+    g = uniform_graph("a", "b", cfg=ONE_DRAW)
+    update_posteriors(g, FixedEstimates({"a": 0.9, "b": 0.2}))
     rng = make_rng(99)
     assert select_model(g, rng) == "a"
     # no tie -> the tie-break draw was not consumed
@@ -398,10 +436,11 @@ def test_select_tie_within_tolerance():
 
 
 def test_select_empty_graph():
+    # select_model needs no check of its own: no graph without candidates can be made
     g = uniform_graph("a")
-    g.candidates.clear()
     with pytest.raises(EmptyClusterError):
-        select_model(g, make_rng(0))
+        SuitabilityGraph("t", "default", "default", CFG, [], g.similarity[:0], g.n_success[:0],
+                         g.n_failure[:0], g.post[:0])
 
 
 # -- decision heuristics -----------------------------------------------------------
@@ -462,7 +501,7 @@ def test_threshold_hysteresis_with_failures():
 
     def successes_needed(n_failures: int) -> int:
         for ns in range(1, 1000):
-            if deterministic_success_probability(ExperienceRecord(ns, n_failures), cfg) >= cfg.tau:
+            if deterministic_success_probability(ns, n_failures, cfg) >= cfg.tau:
                 return ns
         raise AssertionError("threshold unreachable")
 
