@@ -23,6 +23,16 @@ the transient memory of a large export small. The output, and the exception
 type raised for nan/inf (``ValueError``), a non-string key or an unsupported
 object (``TypeError``), are those of the recursive part-list emitter this
 replaced; ``tests/test_canonical.py`` keeps that emitter as its reference.
+
+Documents that repeat one shape many times with only the values changing
+(the store's entries, the trial log's maps) are emitted from templates:
+``template(obj)`` is the text of ``obj`` as a ``%``-format string, with the
+sentinels ``FLOAT``, ``INT`` and ``STR`` as holes for ``%.17g``, ``%d`` and an
+already-encoded ``%s``, and every literal ``%`` doubled. It runs the same
+emit code as ``dumps``, so ``template(obj) % values`` is ``dumps`` of ``obj``
+with the values in its holes, for exact finite floats, exact ints and
+encoded strings. The caller guarantees those types; ``dumps`` stays the only
+emitter of arbitrary documents.
 """
 
 from __future__ import annotations
@@ -37,20 +47,51 @@ def format_float(value: float) -> str:
     return "%.17g" % float(value)
 
 
+class _Hole:
+    """A template hole; ``spec`` is its ``%`` conversion."""
+
+    __slots__ = ("spec",)
+
+    def __init__(self, spec: str):
+        self.spec = spec
+
+
+FLOAT = _Hole("%.17g")
+INT = _Hole("%d")
+STR = _Hole("%s")
+
+
 class _KeyText(dict):
     """``"key":`` text per object key, encoded on first use."""
+
+    def __init__(self, encode):
+        super().__init__()
+        self.encode = encode
 
     def __missing__(self, key):
         if not isinstance(key, str):
             raise TypeError(f"canonical JSON object keys must be strings, got {type(key).__name__}")
-        text = self[key] = encode_basestring(key) + ":"
+        text = self[key] = self.encode(key) + ":"
         return text
+
+
+def _template_text(s: str) -> str:
+    return encode_basestring(s).replace("%", "%%")
 
 
 def dumps(obj) -> str:
     """Serialize nested dict/list/tuple/str/int/float/bool/None canonically."""
-    key_text = _KeyText()
-    encode = encode_basestring
+    return _emitter(encode_basestring, holes=False)(obj)
+
+
+def template(obj) -> str:
+    """``obj`` as a ``%``-format string with its ``FLOAT``, ``INT`` and
+    ``STR`` sentinels as holes and every literal ``%`` doubled."""
+    return _emitter(_template_text, holes=True)(obj)
+
+
+def _emitter(encode, holes: bool):
+    key_text = _KeyText(encode)
     isfinite = math.isfinite
 
     def emit(o) -> str:
@@ -84,6 +125,8 @@ def dumps(obj) -> str:
             return emit(list(o))
         if isinstance(o, dict):
             return emit({k: o[k] for k in o})
+        if holes and t is _Hole:
+            return o.spec
         raise TypeError(f"type {type(o).__name__} is not serializable to canonical JSON")
 
-    return emit(obj)
+    return emit

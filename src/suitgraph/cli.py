@@ -317,8 +317,17 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--models", action="append", metavar="CLASSES",
         help="comma-separated classes that have execution models (repeatable)")
-    parser.add_argument("--max-ancestors", type=int, default=None, metavar="N",
+    parser.add_argument("--max-ancestors", type=non_negative_int, default=None, metavar="N",
                         help="cap ancestor hops contributing to the object cluster")
+
+
+def non_negative_int(text: str) -> int:
+    """``--max-ancestors`` value, refused at parse time (exit 2): a target
+    with its own model builds no cluster, so the library would never see it."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"max_ancestor_hops must be None or >= 0, got {value}")
+    return value
 
 
 def _add_key_args(parser: argparse.ArgumentParser) -> None:
@@ -412,7 +421,10 @@ def main(argv: list[str] | None = None) -> int:
     if not logging.getLogger().handlers:
         logging.basicConfig(level=logging.WARNING, format="%(levelname)s: %(message)s")
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage errors exit 2, --help 0
+        return exc.code
     try:
         return args.func(args)
     except UnknownClassError as exc:

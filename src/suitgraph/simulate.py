@@ -26,7 +26,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
+from itertools import chain
+from json.encoder import encode_basestring
 from typing import Mapping
 
 import numpy as np
@@ -200,50 +203,172 @@ class TrialLog:
     steps: list[TrialStep]
 
     def to_json(self) -> str:
+        """Canonical text of the log: ``canonical.dumps`` of the config and
+        the steps. Each step's four maps are filled into templates shared by
+        every map with the same keys (see ``_StepMaps``); the document is one
+        join over a flat list of pieces, so no step's text is copied."""
         override = self.config.similarity_override
         override_rows = (
             None
             if override is None
             else [[t, c, float(s)] for (t, c), s in sorted(override.items())]
         )
-        doc = {
-            "config": {
-                "action": self.config.action,
-                "cfg": {
-                    "alpha0": float(self.config.cfg.alpha0),
-                    "beta0": float(self.config.cfg.beta0),
-                    "beta_sample_count": self.config.cfg.beta_sample_count,
-                    # trial-log v1 field, kept so the log bytes stay the same; always 0
-                    "rng_seed": 0,
-                    "tau": float(self.config.cfg.tau),
-                },
-                "max_ancestor_hops": self.config.max_ancestor_hops,
-                "mode": self.config.mode,
-                "reset_posteriors": self.config.reset_posteriors,
-                "seed": self.config.seed,
-                "similarity_override": override_rows,
-                "strategy": self.config.strategy,
-                "targets": list(self.config.targets),
-                "trials_per_object": self.config.trials_per_object,
+        config = canonical.dumps({
+            "action": self.config.action,
+            "cfg": {
+                "alpha0": float(self.config.cfg.alpha0),
+                "beta0": float(self.config.cfg.beta0),
+                "beta_sample_count": self.config.cfg.beta_sample_count,
+                # trial-log v1 field, kept so the log bytes stay the same; always 0
+                "rng_seed": 0,
+                "tau": float(self.config.cfg.tau),
             },
-            "steps": [
-                {
-                    "cluster_size": s.cluster_size,
-                    "counts": {c: [ns, nf] for c, (ns, nf) in s.counts.items()},
-                    "estimates": s.estimates,
-                    "outcome": s.outcome,
-                    "own_model": s.own_model,
-                    "posteriors": s.posteriors,
-                    "selected": s.selected,
-                    "similarities": s.similarities,
-                    "specification_needed": s.specification_needed,
-                    "target": s.target,
-                    "trial": s.trial,
-                }
-                for s in self.steps
-            ],
-        }
-        return canonical.dumps(doc)
+            "max_ancestor_hops": self.config.max_ancestor_hops,
+            "mode": self.config.mode,
+            "reset_posteriors": self.config.reset_posteriors,
+            "seed": self.config.seed,
+            "similarity_override": override_rows,
+            "strategy": self.config.strategy,
+            "targets": list(self.config.targets),
+            "trials_per_object": self.config.trials_per_object,
+        })
+        maps = _StepMaps()
+        head, after_counts, after_estimates, after_posteriors, after_similarities = _STEP_PIECES
+        text = _scalar_text
+        parts = [_LOG_HEAD, config, _LOG_STEPS]
+        for i, s in enumerate(self.steps):
+            if i:
+                parts.append(",")
+            # the fields in canonical (sorted) key order, so the first value
+            # that cannot be emitted raises as it would in canonical.dumps
+            parts += (
+                head % text(s.cluster_size),
+                maps.counts(s.counts),
+                after_counts,
+                maps.floats(s.estimates),
+                after_estimates % (text(s.outcome), text(s.own_model)),
+                maps.floats(s.posteriors),
+                after_posteriors % text(s.selected),
+                maps.similarities(s.similarities),
+                after_similarities % (text(s.specification_needed), text(s.target), text(s.trial)),
+            )
+        parts.append(_LOG_TAIL)
+        return "".join(parts)
+
+
+_LOG_HEAD, _LOG_STEPS, _LOG_TAIL = canonical.template(
+    {"config": canonical.STR, "steps": [canonical.STR]}).split("%s")
+
+_MAP_FIELDS = frozenset({"counts", "estimates", "posteriors", "similarities"})
+
+
+def _step_pieces() -> list[str]:
+    """A step's canonical text cut at its four maps: five ``%`` templates
+    whose ``%s`` holes take the step's other fields, encoded, in key order."""
+    keys = sorted(f.name for f in fields(TrialStep))
+    # field names hold no "%", so every "%s" of the template is a hole
+    segments = canonical.template(dict.fromkeys(keys, canonical.STR)).split("%s")
+    pieces = [segments[0]]
+    for key, segment in zip(keys, segments[1:]):
+        if key in _MAP_FIELDS:
+            pieces.append(segment)
+        else:
+            pieces[-1] += "%s" + segment
+    return pieces
+
+
+_STEP_PIECES = _step_pieces()
+
+
+def _scalar_text(value) -> str:
+    """Canonical text of one of a step's small fields."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return str(value)
+    if type(value) is str:
+        return encode_basestring(value)
+    return canonical.dumps(value)
+
+
+class _StepMaps:
+    """Canonical text of a trial log's maps, one template per key tuple.
+
+    A ``{name: float}`` map fits a template when it is a dict whose values
+    are exact, finite floats; a counts map when its values are
+    ``(n_success, n_failure)`` tuples of exact ints. Any other map goes
+    through ``canonical.dumps``, which raises ValueError for nan and inf and
+    TypeError for what JSON cannot hold. A template's keys are the map's
+    keys in sorted order, so a map is filled in that order.
+    """
+
+    def __init__(self):
+        self._float_templates: dict = {}
+        self._count_templates: dict = {}
+        # (keys, values, text) of the last similarity map that may be reused
+        self._last_similarities = None
+
+    @staticmethod
+    def _template(templates: dict, keys: tuple, hole) -> tuple[str, list | None]:
+        """(template, key order to fill, None when it is ``keys``' own)."""
+        found = templates.get(keys)
+        if found is None:
+            order = sorted(keys)
+            found = templates[keys] = (
+                canonical.template(dict.fromkeys(keys, hole)),
+                None if order == list(keys) else order,
+            )
+        return found
+
+    @staticmethod
+    def _float_values(m) -> tuple | None:
+        """The values of ``m`` when it fits a float template, else None."""
+        if type(m) is dict:
+            values = tuple(m.values())
+            if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
+                return values
+        return None
+
+    def floats(self, m, values: tuple | None = None) -> str:
+        if values is None:
+            values = self._float_values(m)
+            if values is None:
+                return canonical.dumps(m)
+        template, order = self._template(self._float_templates, tuple(m), canonical.FLOAT)
+        return template % (values if order is None else tuple([m[k] for k in order]))
+
+    def similarities(self, m) -> str:
+        """``floats(m)``, reusing the previous similarity map's text when the
+        bytes are provably equal: equal keys and equal values, all exact,
+        finite, non-zero floats. ``==`` alone would merge -0.0 with 0.0 and
+        1.0 with True, whose texts differ."""
+        values = self._float_values(m)
+        if values is None:
+            self._last_similarities = None
+            return canonical.dumps(m)
+        keys = tuple(m)
+        last = self._last_similarities
+        if last is not None and last[0] == keys and last[1] == values:
+            return last[2]
+        text = self.floats(m, values)
+        self._last_similarities = None if 0.0 in values else (keys, values, text)
+        return text
+
+    def counts(self, m) -> str:
+        if type(m) is dict:
+            pairs = tuple(m.values())
+            if set(map(type, pairs)) <= {tuple} and set(map(len, pairs)) <= {2}:
+                template, order = self._template(self._count_templates, tuple(m), [canonical.INT, canonical.INT])
+                if order is not None:
+                    pairs = tuple([m[k] for k in order])
+                flat = tuple(chain.from_iterable(pairs))
+                if set(map(type, flat)) <= {int}:
+                    return template % flat
+        return canonical.dumps({c: [ns, nf] for c, (ns, nf) in m.items()})
 
 
 def run_campaign(

@@ -6,8 +6,10 @@ is canonical (sorted entries, sorted keys, %.17g floats), which makes equal
 stores byte-identical and `import(export(kb)) == kb` exact. Writes go
 through a temp file in the same directory plus an atomic rename, so a
 concurrent reader sees either the old or the new store, never a torn one.
-A save emits the whole store in one `canonical.dumps` call and keeps no
-text from one save to the next, so every save of a store costs the same.
+A save emits the whole store and keeps no text from one save to the next,
+so every save of a store costs the same. Entries are filled into one
+`canonical.template`, so an entry is one `%` over its key strings, counts
+and posterior.
 
 Schema (version 1):
 
@@ -40,6 +42,7 @@ import json
 import logging
 import os
 import tempfile
+from json.encoder import encode_basestring
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -53,6 +56,18 @@ SCHEMA_VERSION = 1
 
 _META_FIELDS = ("alpha0", "beta0", "beta_sample_count", "ontology_checksum", "tau")
 _ENTRY_FIELDS = ("action", "candidate", "mode", "n_failure", "n_success", "posterior", "target")
+
+_DOCUMENT = canonical.template(
+    {"entries": [canonical.STR], "meta": canonical.STR, "version": SCHEMA_VERSION})
+_ENTRY = canonical.template({
+    "action": canonical.STR,
+    "candidate": canonical.STR,
+    "mode": canonical.STR,
+    "n_failure": canonical.INT,
+    "n_success": canonical.INT,
+    "posterior": canonical.FLOAT,
+    "target": canonical.STR,
+})
 
 _NO_EXPERIENCE = ExperienceRecord()
 _NO_RECORDS: Mapping[str, ExperienceRecord] = MappingProxyType({})
@@ -153,30 +168,31 @@ class KnowledgeBase:
     # -- serialization -------------------------------------------------------
 
     def export_json(self) -> str:
-        """Canonical serialization; equal stores produce identical bytes."""
+        """Canonical serialization; equal stores produce identical bytes.
+
+        The text is ``canonical.dumps`` of the whole document. ``meta`` goes
+        through ``dumps``; every entry is one ``%`` over the entry template,
+        with each scope's action, mode and target encoded once. The
+        template's holes take only what ``ExperienceRecord`` and the writers
+        of this class guarantee: counts are exact ints and the posterior is
+        a finite float in [0, 1], never -0.0.
+        """
+        meta = canonical.dumps({
+            "alpha0": float(self.config.alpha0),
+            "beta0": float(self.config.beta0),
+            "beta_sample_count": self.config.beta_sample_count,
+            "ontology_checksum": self.ontology_checksum,
+            "tau": float(self.config.tau),
+        })
         entries = []
-        for (action, mode, target), candidate, rec in self._sorted():
-            entries.append({
-                "action": action,
-                "candidate": candidate,
-                "mode": mode,
-                "n_failure": rec.n_failure,
-                "n_success": rec.n_success,
-                "posterior": rec.posterior,
-                "target": target,
-            })
-        doc = {
-            "version": SCHEMA_VERSION,
-            "meta": {
-                "alpha0": float(self.config.alpha0),
-                "beta0": float(self.config.beta0),
-                "beta_sample_count": self.config.beta_sample_count,
-                "ontology_checksum": self.ontology_checksum,
-                "tau": float(self.config.tau),
-            },
-            "entries": entries,
-        }
-        return canonical.dumps(doc)
+        for scope in sorted(self._scopes):
+            action, mode, target = map(encode_basestring, scope)
+            records = self._scopes[scope]
+            for candidate in sorted(records):
+                rec = records[candidate]
+                entries.append(_ENTRY % (action, encode_basestring(candidate), mode,
+                                         rec.n_failure, rec.n_success, rec.posterior, target))
+        return _DOCUMENT % (",".join(entries), meta)
 
     @classmethod
     def import_json(cls, text: str) -> "KnowledgeBase":

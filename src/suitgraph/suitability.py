@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Mapping, Sequence
 
@@ -124,6 +125,11 @@ class ExperienceRecord:
     posterior: float = 0.0
 
     def __post_init__(self):
+        if type(self.n_success) is not int or type(self.n_failure) is not int:
+            # counts are kept as exact ints (a bool or numpy integer is converted,
+            # a float refused): the store's export fills them into "%d" holes
+            object.__setattr__(self, "n_success", operator.index(self.n_success))
+            object.__setattr__(self, "n_failure", operator.index(self.n_failure))
         if self.n_success < 0 or self.n_failure < 0:
             raise ValueError(f"negative trial counts: ({self.n_success}, {self.n_failure})")
         if self.n_success > COUNT_MAX or self.n_failure > COUNT_MAX:

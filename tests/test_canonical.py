@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from suitgraph import canonical
 from suitgraph.canonical import dumps as canonical_dumps
 from suitgraph.canonical import format_float
 
@@ -193,3 +194,64 @@ def test_dumps_matches_reference_emitter(doc):
 @example([object()])
 def test_dumps_raises_like_reference_emitter(doc):
     assert outcome(canonical_dumps, doc) == outcome(reference_dumps, doc)
+
+
+# -- templates --------------------------------------------------------------------
+
+
+class Filled:
+    """A template hole and the value that fills it."""
+
+    def __init__(self, hole, value):
+        self.hole = hole
+        self.value = value
+
+
+def _replace(obj, leaf):
+    if isinstance(obj, Filled):
+        return leaf(obj)
+    if isinstance(obj, dict):
+        return type(obj)({k: _replace(v, leaf) for k, v in obj.items()})
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_replace(v, leaf) for v in obj)
+    return obj
+
+
+def _holes_in_emit_order(obj):
+    if isinstance(obj, Filled):
+        yield obj
+    elif isinstance(obj, dict):
+        for k in sorted(obj):
+            yield from _holes_in_emit_order(obj[k])
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _holes_in_emit_order(v)
+
+
+_filled = st.one_of(
+    st.builds(Filled, st.just(canonical.FLOAT), _floats),
+    st.builds(Filled, st.just(canonical.INT), _ints),
+    st.builds(Filled, st.just(canonical.STR), _strings),
+)
+_PERCENT = st.sampled_from(["%", "%s", "%%", "%d", "%.17g", "%(x)s"])
+_template_strings = st.one_of(_strings, st.lists(st.one_of(_texts, _PERCENT), max_size=3).map("".join))
+template_documents = st.recursive(st.one_of(_scalars, _template_strings, _filled),
+                                  lambda inner: _containers(inner, _template_strings), max_leaves=30)
+
+
+@settings(max_examples=200)
+@given(template_documents)
+@example({"%s": Filled(canonical.STR, "%d"), "%%": [Filled(canonical.FLOAT, -0.0), "100%"]})
+@example([Filled(canonical.INT, 2**70), Filled(canonical.INT, -3), Filled(canonical.FLOAT, 5e-324)])
+@example(Filled(canonical.STR, '"\\\ud800%'))
+def test_template_filled_equals_dumps(doc):
+    template = canonical.template(_replace(doc, lambda f: f.hole))
+    values = tuple(canonical.dumps(f.value) if f.hole is canonical.STR else f.value
+                   for f in _holes_in_emit_order(doc))
+    assert template % values == canonical_dumps(_replace(doc, lambda f: f.value))
+
+
+def test_template_holes_are_not_json():
+    assert canonical.template({"a": canonical.FLOAT, "b%": [canonical.INT, canonical.STR]}) == '{"a":%.17g,"b%%":[%d,%s]}'
+    with pytest.raises(TypeError):
+        canonical_dumps([canonical.FLOAT])

@@ -69,6 +69,25 @@ def test_negative_max_ancestors_exit_code(capsys, monkeypatch, tmp_path, command
     assert sorted(p.name for p in tmp_path.iterdir()) == (["gt.json"] if command == "simulate" else [])
 
 
+@pytest.mark.parametrize("command", ["select", "teach"])
+def test_negative_max_ancestors_refused_for_own_model_target(capsys, monkeypatch, tmp_path, command):
+    # apple has its own model: no cluster is built, so only the parser can refuse the cap
+    monkeypatch.setattr("sys.stdin", io.StringIO("y\n"))
+    args = ["--kb", str(tmp_path / "kb.json")] if command == "teach" else []
+    rc = main([command, "--ontology", ONTOLOGY, "--models", MODELS, "--max-ancestors", "-3", *args, "apple"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "max_ancestor_hops must be None or >= 0, got -3" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_max_ancestors_must_be_an_integer(capsys):
+    rc = main(["cluster", "--ontology", ONTOLOGY, "--models", MODELS, "--max-ancestors", "two", "banana"])
+    assert rc == 2
+    assert "--max-ancestors" in capsys.readouterr().err
+
+
 def test_cluster_repeatable_models_flag(capsys):
     rc = main(["cluster", "--ontology", ONTOLOGY,
                "--models", "apple,chips_can", "--models", "sugar_box", "tomato_can"])

@@ -1,4 +1,5 @@
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from suitgraph import (
     init_graph,
     run_campaign,
 )
-from suitgraph import simulate
+from suitgraph import canonical, simulate
 from suitgraph.ontology import ClassHierarchy, ObjectCluster
 from suitgraph.simulate import (
     STRATEGIES,
@@ -510,3 +511,174 @@ def test_trial_log_json_parses_and_is_stable(household):
         "posteriors", "selected", "similarities", "specification_needed",
         "target", "trial",
     }
+
+
+# -- trial log bytes ---------------------------------------------------------------
+
+
+def reference_log_json(log: TrialLog) -> str:
+    """``TrialLog.to_json`` as one ``canonical.dumps`` of the whole document,
+    the emitter the per-shape templates replaced."""
+    override = log.config.similarity_override
+    override_rows = (
+        None
+        if override is None
+        else [[t, c, float(s)] for (t, c), s in sorted(override.items())]
+    )
+    doc = {
+        "config": {
+            "action": log.config.action,
+            "cfg": {
+                "alpha0": float(log.config.cfg.alpha0),
+                "beta0": float(log.config.cfg.beta0),
+                "beta_sample_count": log.config.cfg.beta_sample_count,
+                "rng_seed": 0,
+                "tau": float(log.config.cfg.tau),
+            },
+            "max_ancestor_hops": log.config.max_ancestor_hops,
+            "mode": log.config.mode,
+            "reset_posteriors": log.config.reset_posteriors,
+            "seed": log.config.seed,
+            "similarity_override": override_rows,
+            "strategy": log.config.strategy,
+            "targets": list(log.config.targets),
+            "trials_per_object": log.config.trials_per_object,
+        },
+        "steps": [
+            {
+                "cluster_size": s.cluster_size,
+                "counts": {c: [ns, nf] for c, (ns, nf) in s.counts.items()},
+                "estimates": s.estimates,
+                "outcome": s.outcome,
+                "own_model": s.own_model,
+                "posteriors": s.posteriors,
+                "selected": s.selected,
+                "similarities": s.similarities,
+                "specification_needed": s.specification_needed,
+                "target": s.target,
+                "trial": s.trial,
+            }
+            for s in log.steps
+        ],
+    }
+    return canonical.dumps(doc)
+
+
+def log_outcome(emit, log):
+    try:
+        return ("text", emit(log))
+    except (TypeError, ValueError) as exc:
+        return ("error", type(exc))
+
+
+# "%" sequences would break a template that did not double them
+_LOG_CHARS = ["%", "%s", "%%", "%d", "%.17g", '"', "\\", "\x00", "é", "\U0001f600", "\ud800", "\udfff"]
+_log_names = st.lists(st.one_of(st.characters(), st.sampled_from(_LOG_CHARS)), min_size=1, max_size=4).map("".join)
+_log_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 1e300]),
+)
+# what JSON writes differently from an exact float, or cannot write at all
+_odd_values = st.sampled_from([True, False, 1, 0, None, "x"])
+_bad_values = st.sampled_from([math.nan, math.inf, -math.inf, np.float64("inf"), object(), np.int64(3), b"x"])
+
+
+def _variant(value, how):
+    """A value equal to ``value`` under ``==`` whose canonical text may differ."""
+    if type(value) is float:
+        if how == "new-object":
+            return float(repr(value))
+        if how == "numpy":
+            return np.float64(value)
+        if how == "flip" and value == 0.0:
+            return -value
+        if how == "flip" and value == 1.0:
+            return True
+    if how == "flip" and value is True:
+        return 1.0
+    return value
+
+
+@st.composite
+def trial_logs(draw, bad=False):
+    """Logs over arbitrary names: own-model, empty-cluster and graph steps;
+    similarity maps that repeat, or differ only by -0.0/0.0, 1.0/True or
+    numpy.float64; counts as tuples, lists, bools or huge ints."""
+    floats = st.one_of(_log_floats, _log_floats.map(np.float64), _odd_values) if draw(st.booleans()) else _log_floats
+    if bad:
+        floats = st.one_of(floats, _bad_values)
+    counts_item = st.integers(min_value=0, max_value=2**70)
+    if bad:
+        counts_item = st.one_of(counts_item, _bad_values)
+    targets = draw(st.lists(_log_names, min_size=1, max_size=3, unique=True))
+    steps = []
+    for target in targets:
+        kind = draw(st.sampled_from(["graph", "graph", "own", "empty"]))
+        trials = draw(st.integers(min_value=1, max_value=4))
+        if kind != "graph":
+            for trial in range(trials):
+                steps.append(TrialStep(
+                    trial=trial, target=target, cluster_size=draw(st.integers(0, 3)),
+                    selected=target if kind == "own" else None,
+                    outcome=draw(st.sampled_from([True, False])) if kind == "own" else None,
+                    own_model=kind == "own", specification_needed=kind == "empty",
+                    similarities={}, estimates={}, posteriors={}, counts={}))
+            continue
+        names = draw(st.lists(_log_names, min_size=1, max_size=5, unique=True))
+        sims = {name: draw(floats) for name in draw(st.permutations(names))}
+        for trial in range(trials):
+            how = draw(st.sampled_from(["same", "new-object", "flip", "numpy"]))
+            sims = {name: _variant(value, how) for name, value in sims.items()}
+            pairs = {name: (draw(counts_item), draw(counts_item)) for name in names}
+            if draw(st.booleans()):
+                shape = draw(st.sampled_from([list, lambda p: (bool(p[0]), p[1])]))
+                pairs = {name: shape(p) for name, p in pairs.items()}
+            steps.append(TrialStep(
+                trial=trial, target=target, cluster_size=len(names),
+                selected=draw(st.sampled_from(names)), outcome=draw(st.booleans()),
+                own_model=False, specification_needed=False,
+                similarities=sims,
+                estimates={name: draw(floats) for name in names},
+                posteriors={name: draw(floats) for name in draw(st.permutations(names))},
+                counts=pairs))
+    config = CampaignConfig(targets=tuple(targets), trials_per_object=1, seed=draw(st.integers(0, 9)),
+                            action=draw(_log_names), mode=draw(_log_names))
+    return TrialLog(config, steps)
+
+
+def _step(target, similarities, trial=0):
+    names = list(similarities)
+    return TrialStep(trial=trial, target=target, cluster_size=len(names), selected=names[0], outcome=True,
+                     own_model=False, specification_needed=False, similarities=similarities,
+                     estimates=dict.fromkeys(names, 0.5), posteriors=dict.fromkeys(names, 1 / len(names)),
+                     counts=dict.fromkeys(names, (1, 0)))
+
+
+def _log(*steps):
+    return TrialLog(CampaignConfig(targets=tuple(dict.fromkeys(s.target for s in steps))), list(steps))
+
+
+@settings(max_examples=200)
+@given(trial_logs())
+@example(_log(_step("t", {"a": 0.25, "b": 0.0}), _step("t", {"a": 0.25, "b": -0.0}, 1)))
+@example(_log(_step("t", {"a": 0.25, "b": 1.0}), _step("t", {"a": 0.25, "b": True}, 1)))
+@example(_log(_step("t", {"a": 0.25, "b": 1.0}), _step("t", {"a": 0.25, "b": 1.0}, 1),
+              _step("t", {"a": np.float64(0.25), "b": 1.0}, 2), _step("t", {"a": 0.25, "b": 1}, 3)))
+@example(_log(_step("%s", {"%d": 0.5, "%%": 0.5, '"\\\ud800': 0.1}), _step("é", {"b": 0.5, "a": 0.5})))
+def test_trial_log_json_matches_one_dumps_of_the_document(log):
+    assert log.to_json() == reference_log_json(log)
+
+
+@settings(max_examples=200)
+@given(trial_logs(bad=True))
+@example(_log(_step("t", {"a": 0.25, "b": math.nan})))
+@example(_log(_step("t", {"a": 0.25}), _step("t", {"a": math.inf}, 1)))
+@example(_log(_step("t", {"a": object()})))
+def test_trial_log_json_raises_like_one_dumps_of_the_document(log):
+    assert log_outcome(TrialLog.to_json, log) == log_outcome(reference_log_json, log)
+
+
+def test_trial_log_json_of_a_campaign_matches_one_dumps(household):
+    config = CampaignConfig(targets=("banana", "apple", "tomato_can"), trials_per_object=5, cfg=CFG, seed=3)
+    log = run_campaign(config, household, FIXTURE_MODELS, simple_gt())
+    assert log.to_json() == reference_log_json(log)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from suitgraph import ExperienceKey, KnowledgeBase, SchemaError, SuitabilityConfig, canonical
 from suitgraph.store import SCHEMA_VERSION
-from suitgraph.suitability import ExperienceRecord
+from suitgraph.suitability import COUNT_MAX, ExperienceRecord
 
 KEY = ExperienceKey("grasp", "default", "banana", "apple")
 
@@ -55,6 +55,14 @@ def test_set_posterior_creates_zero_count_entry():
     kb.set_posterior(KEY, 0.3)
     rec = kb.query(KEY)
     assert (rec.n_success, rec.n_failure, rec.posterior) == (0, 0, 0.3)
+
+
+def test_record_counts_are_exact_ints():
+    rec = ExperienceRecord(np.int64(2), True, 0.5)
+    assert (rec.n_success, rec.n_failure) == (2, 1)
+    assert type(rec.n_success) is int and type(rec.n_failure) is int
+    with pytest.raises(TypeError):
+        ExperienceRecord(1.0, 0)
 
 
 def test_negative_zero_posterior_survives_reload():
@@ -520,6 +528,48 @@ def test_export_independent_of_history(prefix, ops, imported):
             apply_op(quiet, op)
     assert kb == quiet
     assert kb.export_json() == quiet.export_json() == reference_export(kb)
+
+
+class Name(str):
+    pass
+
+
+# "%" sequences would break a template that did not keep them out of its format
+_KEY_CHARS = ["%", "%s", "%%", "%d", "%.17g", '"', "\\", "\x00", "é", "\U0001f600", "\ud800", "\udfff"]
+_key_strings = st.lists(st.one_of(st.characters(), st.sampled_from(_KEY_CHARS)), min_size=1, max_size=4).map("".join)
+_counts = st.one_of(st.integers(0, 20), st.integers(0, COUNT_MAX), st.just(COUNT_MAX))
+
+
+@given(
+    entries=st.dictionaries(st.tuples(_key_strings, _key_strings, _key_strings, _key_strings),
+                            st.tuples(_counts, _counts, _posteriors), max_size=10),
+    ops=st.lists(st.tuples(st.integers(0, 9), st.booleans(), st.booleans(), _posteriors), max_size=6),
+)
+@settings(max_examples=150)
+@example(entries={("%s", "%%", "%d", '"\\\ud800'): (COUNT_MAX, 0, 0.5), ("a", "a", "a", "é"): (1, COUNT_MAX, -0.0)},
+         ops=[(0, True, False, 0.25), (1, False, True, 1.0)])
+def test_export_matches_reference_for_any_strings_and_counts(entries, ops):
+    doc = {
+        "version": SCHEMA_VERSION,
+        "meta": {"alpha0": 3.0, "beta0": 3.0, "beta_sample_count": 10, "ontology_checksum": "%s", "tau": 0.6},
+        "entries": [{"action": a, "mode": m, "target": t, "candidate": c,
+                     "n_success": ns, "n_failure": nf, "posterior": p}
+                    for (a, m, t, c), (ns, nf, p) in entries.items()],
+    }
+    kb = KnowledgeBase.import_json(json.dumps(doc))
+    assert kb.export_json() == reference_export(kb)
+    keys = [ExperienceKey(*key) for key in entries] or [ExperienceKey("%", "%s", "%%", "%d")]
+    for index, append, subclass, posterior in ops:
+        key = keys[index % len(keys)]
+        if subclass:
+            key = ExperienceKey(key.action, key.mode, key.target, Name(key.candidate))
+        rec = kb.query(key) or ExperienceRecord()
+        if append and max(rec.n_success, rec.n_failure) < COUNT_MAX:
+            kb.append(key, index % 2 == 0, posterior)
+        else:
+            kb.set_posterior(key, posterior)
+    assert kb.export_json() == reference_export(kb)
+    assert KnowledgeBase.import_json(kb.export_json()).export_json() == kb.export_json()
 
 
 SCOPES = sorted({(k.action, k.mode, k.target) for k in POOL})
