@@ -20,6 +20,7 @@ remains representable.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -186,6 +187,9 @@ class SuitabilityGraph:
     the fixed similarity, the outcome counts (n+, n-) and the posterior.
     Posteriors always sum to 1 after an update. A graph with no candidates
     cannot be made (EmptyClusterError), so nothing that takes a graph checks.
+    ``similarity_map`` and ``count_map`` hold the similarity and count rows
+    as dicts for the round's trace, built once; whatever changes a count
+    column changes ``count_map`` with it.
     """
 
     target: str
@@ -198,12 +202,17 @@ class SuitabilityGraph:
     n_failure: np.ndarray
     post: np.ndarray
     last_estimates: dict[str, float] = field(default_factory=dict)
-    log_similarity: list[float] = field(init=False, repr=False)
+    log_similarity: np.ndarray = field(init=False, repr=False)
+    similarity_map: dict[str, float] = field(init=False, repr=False)
+    count_map: dict[str, tuple[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.candidates:
             raise EmptyClusterError(self.target)
-        self.log_similarity = [math.log(s) for s in self.similarity.tolist()]
+        sims = self.similarity.tolist()
+        self.log_similarity = np.fromiter(map(math.log, sims), float, len(sims))
+        self.similarity_map = dict(zip(self.candidates, sims))
+        self.count_map = self.counts()
 
     def index(self, candidate: str) -> int:
         """Row of ``candidate``; KeyError when it is not a cluster member."""
@@ -218,9 +227,6 @@ class SuitabilityGraph:
     def posteriors(self) -> dict[str, float]:
         return dict(zip(self.candidates, self.post.tolist()))
 
-    def similarities(self) -> dict[str, float]:
-        return dict(zip(self.candidates, self.similarity.tolist()))
-
     def counts(self) -> dict[str, tuple[int, int]]:
         return dict(zip(self.candidates, zip(self.n_success.tolist(), self.n_failure.tolist())))
 
@@ -234,19 +240,18 @@ def init_graph(
 ) -> SuitabilityGraph:
     """Graph over the cluster with uniform posteriors and zero counts."""
     names = sorted(cluster.members)
-    sims = []
-    for member in names:
-        try:
-            s = float(similarities[member])
-        except KeyError:
-            raise ValueError(f"missing similarity for candidate {member!r}") from None
-        if not (0.0 < s <= 1.0):
-            raise ValueError(f"similarity for {member!r} must lie in (0, 1], got {s!r}")
-        sims.append(s)
     k = len(names)
+    # a missing similarity reads as NaN, which fails the range check below
+    sims = np.fromiter(map(float, map(similarities.get, names, itertools.repeat(math.nan, k))), float, k)
+    bad = ~((sims > 0.0) & (sims <= 1.0))
+    if bad.any():
+        i = int(bad.argmax())
+        if names[i] not in similarities:
+            raise ValueError(f"missing similarity for candidate {names[i]!r}")
+        raise ValueError(f"similarity for {names[i]!r} must lie in (0, 1], got {sims[i].item()!r}")
     zeros = np.zeros(k, dtype=np.int64)
     # an empty cluster gives k = 0 and an empty column; the graph refuses it
-    return SuitabilityGraph(cluster.target, action, mode, cfg, names, np.array(sims),
+    return SuitabilityGraph(cluster.target, action, mode, cfg, names, sims,
                             zeros, zeros.copy(), np.full(k, 1.0) / k)
 
 
@@ -261,26 +266,33 @@ def update_posteriors(graph: SuitabilityGraph, rng: np.random.Generator) -> Suit
     in that order; this ordering is part of the reproducibility contract.
     A candidate whose posterior has reached exactly 0 stays at 0. Raises
     NormalizationError if every candidate vanished.
+
+    The logs and exponentials are ``math.log`` and ``math.exp`` mapped over
+    each column, and the sums and differences are numpy column arithmetic:
+    an IEEE add or subtract gives the same bits in numpy as in Python, while
+    numpy's log and exp can differ from ``math`` in the last bit.
     """
     cfg = graph.cfg
-    post = graph.post.tolist()
+    k = len(graph.candidates)
     # row i draws what success_probability draws for candidate i: the array
-    # fills row by row, and a row mean reduces a contiguous row exactly as
-    # the mean of one candidate's draws does
+    # fills row by row, and a row sum divided by S reduces a contiguous row
+    # exactly as the mean of one candidate's draws does (this is what
+    # draws.mean and np.clip compute, without their Python wrappers)
     a, b = beta_parameters(graph.n_success, graph.n_failure, cfg)
-    draws = rng.beta(a[:, None], b[:, None], size=(len(graph.candidates), cfg.beta_sample_count))
-    estimates = np.clip(draws.mean(axis=1), _ESTIMATE_EPS, 1.0 - _ESTIMATE_EPS).tolist()
+    draws = rng.beta(a[:, None], b[:, None], size=(k, cfg.beta_sample_count))
+    estimates = np.minimum(np.maximum(np.add.reduce(draws, axis=1) / cfg.beta_sample_count,
+                                      _ESTIMATE_EPS), 1.0 - _ESTIMATE_EPS).tolist()
 
-    # math.log/exp per element and a left-to-right sum: numpy's log, exp and
-    # pairwise np.sum differ from them in the last bit, which changes selections
-    log_unnorm = [
-        log_s + math.log(p) + math.log(prior) if prior > 0.0 else -math.inf
-        for log_s, p, prior in zip(graph.log_similarity, estimates, post)
-    ]
-    shift = max(log_unnorm)
+    priors = graph.post.tolist()
+    # a prior of exactly 0 has the log term -inf, so its posterior stays 0
+    log_priors = map(math.log, priors) if 0.0 not in priors else (
+        math.log(p) if p > 0.0 else -math.inf for p in priors)
+    log_unnorm = (graph.log_similarity + np.fromiter(map(math.log, estimates), float, k)
+                  + np.fromiter(log_priors, float, k))
+    shift = np.maximum.reduce(log_unnorm)
     if shift == -math.inf:
         raise NormalizationError(f"all candidate posteriors vanished for target {graph.target!r}")
-    weights = np.array([math.exp(v - shift) for v in log_unnorm])
+    weights = np.fromiter(map(math.exp, (log_unnorm - shift).tolist()), float, k)
     graph.post = weights / _left_sum(weights)
     graph.last_estimates = dict(zip(graph.candidates, estimates))
     return graph
@@ -294,7 +306,7 @@ def argmax_random_ties(names: Sequence[str], values, rng: np.random.Generator) -
     only when there actually is a tie.
     """
     values = np.asarray(values, dtype=float)
-    tied = np.flatnonzero(values.max() - values <= TIE_TOLERANCE)
+    tied = (np.maximum.reduce(values) - values <= TIE_TOLERANCE).nonzero()[0]
     if len(tied) == 1:
         return names[tied[0]]
     return names[tied[int(rng.integers(len(tied)))]]
@@ -394,9 +406,8 @@ def graph_from_store(
     ``store.records_for`` lookup the records.
     """
     override = similarity_override or {}
-    sims = {member: float(override[member]) for member in cluster.members if member in override}
-    sims.update(hierarchy.wup_similarities(
-        cluster.target, [member for member in cluster.members if member not in override]))
+    sims = hierarchy.wup_similarities(cluster.target, cluster.members.difference(override))
+    sims.update((member, override[member]) for member in cluster.members.intersection(override))
     graph = init_graph(cluster, sims, cfg, action, mode)
     snapshots = graph.post.tolist()
     records = store.records_for(action, mode, cluster.target)
@@ -407,6 +418,7 @@ def graph_from_store(
             stored = records.get(member)
             if stored is not None:
                 n_success[i], n_failure[i], snapshots[i] = stored.n_success, stored.n_failure, stored.posterior
+                graph.count_map[member] = (stored.n_success, stored.n_failure)
         graph.n_success = np.array(n_success, dtype=np.int64)
         graph.n_failure = np.array(n_failure, dtype=np.int64)
     if not reset_posteriors:
@@ -519,10 +531,10 @@ def generalise_execution_model(
     trace.update(
         selected=chosen,
         candidates=list(graph.candidates),
-        similarities=graph.similarities(),
+        similarities=graph.similarity_map.copy(),
         estimates=graph.last_estimates,
         posteriors=graph.posteriors(),
-        counts=graph.counts(),
+        counts=graph.count_map.copy(),
         cluster_size=len(graph.candidates),
     )
     if executor is None:
@@ -531,7 +543,7 @@ def generalise_execution_model(
     outcome = trace["outcome"] = bool(executor(target, chosen))
     record = store.append(ExperienceKey(action, mode, target, chosen), outcome, graph.post[row])
     graph.n_success[row], graph.n_failure[row] = record.n_success, record.n_failure
-    trace["counts"][chosen] = (record.n_success, record.n_failure)
+    trace["counts"][chosen] = graph.count_map[chosen] = (record.n_success, record.n_failure)
     if beliefs is None:
         store_posteriors(graph, store)
     return chosen, outcome

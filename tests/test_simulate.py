@@ -202,6 +202,42 @@ def test_run_campaign_byte_identical_repeats(household):
     assert report_json(summarize(log1)) == report_json(summarize(log2))
 
 
+def test_campaign_step_maps_belong_to_the_caller(household):
+    # every round's similarity and count maps are fresh dicts, and a kept
+    # graph's count map follows its count columns after every round
+    config = CampaignConfig(targets=("tomato_can", "pitcher", "banana"), trials_per_object=6, cfg=CFG, seed=5)
+    clean_kb = KnowledgeBase(CFG, household.checksum())
+    clean = run_campaign(config, household, FIXTURE_MODELS, simple_gt(), clean_kb)
+    text = clean.to_json()
+    real_round = simulate.generalise_execution_model
+    seen = []
+
+    def round_then_clear(*args, trace, beliefs, **kwargs):
+        result = real_round(*args, trace=trace, beliefs=beliefs, **kwargs)
+        for graph in beliefs.values():
+            assert graph.count_map == graph.counts()
+        seen.append((dict(trace["similarities"]), dict(trace["counts"])))
+        # a later round must not see this
+        trace["similarities"].clear()
+        trace["counts"].clear()
+        return result
+
+    kb = KnowledgeBase(CFG, household.checksum())
+    with mock.patch.object(simulate, "generalise_execution_model", round_then_clear):
+        run_campaign(config, household, FIXTURE_MODELS, simple_gt(), kb)
+    assert seen == [(s.similarities, s.counts) for s in clean.steps]
+    assert kb.export_json() == clean_kb.export_json()
+
+    later = [(dict(s.similarities), dict(s.counts)) for s in clean.steps[1:]]
+    first = clean.steps[0]
+    for name in list(first.similarities):
+        first.similarities[name] = 0.5
+        first.counts[name] = (99, 99)
+    first.similarities["intruder"] = 1.0
+    assert [(s.similarities, s.counts) for s in clean.steps[1:]] == later
+    assert run_campaign(config, household, FIXTURE_MODELS, simple_gt()).to_json() == text
+
+
 def test_run_campaign_seed_changes_log(household):
     logs = set()
     for seed in range(3):

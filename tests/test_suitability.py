@@ -26,6 +26,7 @@ from suitgraph.ontology import ObjectCluster
 from suitgraph.suitability import (
     BETA_SAMPLE_MAX,
     PARAM_FLOOR,
+    _ESTIMATE_EPS,
     ExperienceRecord,
     SuitabilityGraph,
     _left_sum,
@@ -227,10 +228,21 @@ def test_init_graph_missing_similarity():
         init_graph(cluster_of("a", "b"), {"a": 0.5}, CFG)
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.1, 1.5])
+@pytest.mark.parametrize("bad", [0.0, -0.1, 1.5, math.nan])
 def test_init_graph_similarity_range(bad):
     with pytest.raises(ValueError, match="must lie in"):
         init_graph(cluster_of("a"), {"a": bad}, CFG)
+
+
+@pytest.mark.parametrize("sims, message", [
+    ({"b": 1.5}, "missing similarity for candidate 'a'"),
+    ({"a": 2.0, "c": 0.5}, r"similarity for 'a' must lie in \(0, 1\], got 2.0"),
+    ({"a": 0.5, "b": math.nan}, r"similarity for 'b' must lie in \(0, 1\], got nan"),
+    ({"a": 0.5, "c": -1}, "missing similarity for candidate 'b'"),
+])
+def test_init_graph_reports_first_bad_member_in_sorted_order(sims, message):
+    with pytest.raises(ValueError, match=message):
+        init_graph(cluster_of("c", "b", "a"), sims, CFG)
 
 
 # -- posterior update ---------------------------------------------------------------
@@ -271,7 +283,7 @@ def test_batched_draw_matches_per_candidate_calls(k, samples):
     rng, ref_rng = make_rng(3), make_rng(3)
     want = per_candidate_estimates(g, ref_rng)
     # the same update fed the reference estimates
-    per_candidate = uniform_graph(*names, sims=g.similarities(), cfg=ONE_DRAW)
+    per_candidate = uniform_graph(*names, sims=g.similarity_map, cfg=ONE_DRAW)
     update_posteriors(per_candidate, FixedEstimates(want))
     update_posteriors(g, rng)
 
@@ -279,6 +291,80 @@ def test_batched_draw_matches_per_candidate_calls(k, samples):
     assert list(g.last_estimates) == sorted(names)
     assert g.posteriors() == per_candidate.posteriors()
     assert rng.random() == ref_rng.random()
+
+
+def reference_update(graph, rng):
+    """The update as one Python step per candidate: math.log and math.exp
+    per element, numpy's mean and clip for the estimates. Returns the
+    estimates and the new posteriors without touching the graph."""
+    cfg = graph.cfg
+    a, b = beta_parameters(graph.n_success, graph.n_failure, cfg)
+    draws = rng.beta(a[:, None], b[:, None], size=(len(graph.candidates), cfg.beta_sample_count))
+    estimates = np.clip(draws.mean(axis=1), _ESTIMATE_EPS, 1.0 - _ESTIMATE_EPS).tolist()
+    log_unnorm = [
+        math.log(s) + math.log(p) + math.log(prior) if prior > 0.0 else -math.inf
+        for s, p, prior in zip(graph.similarity.tolist(), estimates, graph.post.tolist())
+    ]
+    shift = max(log_unnorm)
+    if shift == -math.inf:
+        raise NormalizationError("all candidate posteriors vanished")
+    weights = np.array([math.exp(v - shift) for v in log_unnorm])
+    return estimates, weights / _left_sum(weights)
+
+
+def assert_update_matches_reference(cfg, sims, counts, priors, seed):
+    k = len(sims)
+    names = [f"c{i:04d}" for i in range(k)]
+    counts = np.array(counts, dtype=np.int64).reshape(k, 2)
+    g = SuitabilityGraph("t", "default", "default", cfg, names, np.array(sims, dtype=float),
+                         counts[:, 0].copy(), counts[:, 1].copy(), np.array(priors, dtype=float))
+    rng, ref_rng = make_rng(seed), make_rng(seed)
+    if not any(p > 0.0 for p in priors):
+        with pytest.raises(NormalizationError):
+            reference_update(g, ref_rng)
+        with pytest.raises(NormalizationError):
+            update_posteriors(g, rng)
+        return
+    want_estimates, want_post = reference_update(g, ref_rng)
+    update_posteriors(g, rng)
+    assert list(g.last_estimates) == names
+    assert np.array(list(g.last_estimates.values())).tobytes() == np.array(want_estimates).tobytes()
+    assert g.post.tobytes() == want_post.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# exact zeros and subnormals among the priors; a prior of 0 keeps its row at 0
+PRIORS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308]))
+
+
+@settings(max_examples=300)
+@given(
+    k=st.integers(1, 64),
+    samples=st.integers(1, 20),
+    alpha0=st.sampled_from([0.05, 0.5, 0.999, 1.0, 1.5, 3.0, 40.0]),
+    beta0=st.sampled_from([0.05, 0.5, 0.999, 1.0, 1.5, 3.0, 40.0]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_update_matches_per_candidate_reference(k, samples, alpha0, beta0, seed, data):
+    # the column arithmetic gives the reference's floats bit for bit and
+    # leaves the generator where the reference leaves it
+    cfg = SuitabilityConfig(alpha0=alpha0, beta0=beta0, beta_sample_count=samples)
+    sims = data.draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=k, max_size=k))
+    counts = data.draw(st.lists(st.integers(0, 60), min_size=2 * k, max_size=2 * k))
+    priors = data.draw(st.lists(PRIORS, min_size=k, max_size=k))
+    assert_update_matches_reference(cfg, sims, counts, priors, seed)
+
+
+def test_update_matches_per_candidate_reference_wide():
+    gen = make_rng(1996)
+    k = 1996
+    priors = gen.random(k)
+    priors[gen.integers(0, k, 40)] = 0.0
+    priors[gen.integers(0, k, 40)] = 5e-324
+    for cfg in (CFG, SuitabilityConfig(alpha0=0.5, beta0=0.7, beta_sample_count=17)):
+        assert_update_matches_reference(cfg, gen.uniform(1e-3, 1.0, k).tolist(),
+                                        gen.integers(0, 30, 2 * k).tolist(), priors.tolist(), seed=9)
 
 
 def test_update_normalizes_to_one():
@@ -524,7 +610,7 @@ def test_graph_from_store_fresh(household):
     cluster = household.object_cluster("tomato_can", FIXTURE_MODELS.__contains__)
     g = graph_from_store(cluster, household, kb, CFG, action="grasp")
     assert g.posteriors() == {"chips_can": 0.5, "sugar_box": 0.5}
-    assert g.similarities()["chips_can"] == pytest.approx(2 / 3, abs=1e-15)
+    assert g.similarity_map["chips_can"] == pytest.approx(2 / 3, abs=1e-15)
 
 
 def test_graph_from_store_overlays_and_renormalizes(household):
@@ -564,8 +650,8 @@ def test_graph_from_store_similarity_override(household):
     g = graph_from_store(
         cluster, household, kb, CFG, action="grasp",
         similarity_override={"chips_can": 0.9})
-    assert g.similarities()["chips_can"] == 0.9
-    assert g.similarities()["sugar_box"] == pytest.approx(2 / 3, abs=1e-15)
+    assert g.similarity_map["chips_can"] == 0.9
+    assert g.similarity_map["sugar_box"] == pytest.approx(2 / 3, abs=1e-15)
 
 
 # -- full selection round -----------------------------------------------------------
