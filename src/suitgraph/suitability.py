@@ -283,12 +283,11 @@ def update_posteriors(graph: SuitabilityGraph, rng: np.random.Generator) -> Suit
     estimates = np.minimum(np.maximum(np.add.reduce(draws, axis=1) / cfg.beta_sample_count,
                                       _ESTIMATE_EPS), 1.0 - _ESTIMATE_EPS).tolist()
 
-    priors = graph.post.tolist()
     # a prior of exactly 0 has the log term -inf, so its posterior stays 0
-    log_priors = map(math.log, priors) if 0.0 not in priors else (
-        math.log(p) if p > 0.0 else -math.inf for p in priors)
-    log_unnorm = (graph.log_similarity + np.fromiter(map(math.log, estimates), float, k)
-                  + np.fromiter(log_priors, float, k))
+    live = graph.post > 0.0
+    log_priors = np.fromiter(map(math.log, np.where(live, graph.post, 1.0).tolist()), float, k)
+    np.putmask(log_priors, ~live, -math.inf)
+    log_unnorm = graph.log_similarity + np.fromiter(map(math.log, estimates), float, k) + log_priors
     shift = np.maximum.reduce(log_unnorm)
     if shift == -math.inf:
         raise NormalizationError(f"all candidate posteriors vanished for target {graph.target!r}")
@@ -532,7 +531,7 @@ def generalise_execution_model(
         selected=chosen,
         candidates=list(graph.candidates),
         similarities=graph.similarity_map.copy(),
-        estimates=graph.last_estimates,
+        estimates=graph.last_estimates.copy(),
         posteriors=graph.posteriors(),
         counts=graph.count_map.copy(),
         cluster_size=len(graph.candidates),

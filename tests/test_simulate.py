@@ -203,8 +203,8 @@ def test_run_campaign_byte_identical_repeats(household):
 
 
 def test_campaign_step_maps_belong_to_the_caller(household):
-    # every round's similarity and count maps are fresh dicts, and a kept
-    # graph's count map follows its count columns after every round
+    # every round's similarity, estimate and count maps are fresh dicts, and
+    # a kept graph's count map follows its count columns after every round
     config = CampaignConfig(targets=("tomato_can", "pitcher", "banana"), trials_per_object=6, cfg=CFG, seed=5)
     clean_kb = KnowledgeBase(CFG, household.checksum())
     clean = run_campaign(config, household, FIXTURE_MODELS, simple_gt(), clean_kb)
@@ -220,6 +220,8 @@ def test_campaign_step_maps_belong_to_the_caller(household):
         # a later round must not see this
         trace["similarities"].clear()
         trace["counts"].clear()
+        trace["estimates"].clear()
+        assert all(graph.last_estimates for graph in beliefs.values())
         return result
 
     kb = KnowledgeBase(CFG, household.checksum())
