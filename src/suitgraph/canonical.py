@@ -25,7 +25,7 @@ object (``TypeError``), are those of the recursive part-list emitter this
 replaced; ``tests/test_canonical.py`` keeps that emitter as its reference.
 
 Documents that repeat one shape many times with only the values changing
-(the store's entries, the trial log's maps) are emitted from templates:
+(the store's entries, the trial log's steps) are emitted from templates:
 ``template(obj)`` is the text of ``obj`` as a ``%``-format string, with the
 sentinels ``FLOAT``, ``INT`` and ``STR`` as holes for ``%.17g``, ``%d`` and an
 already-encoded ``%s``, and every literal ``%`` doubled. It runs the same

@@ -32,7 +32,6 @@ from .simulate import (
 from .store import KnowledgeBase
 from .suitability import (
     EmptyClusterError,
-    ExperienceKey,
     ExperienceRecord,
     SuitabilityConfig,
     generalisation_check,
@@ -258,14 +257,8 @@ def _print_teach_summary(target, hierarchy, registry, kb, args, attempted) -> No
         if parent is None:
             continue
         siblings = hierarchy.siblings(model)
-        sibling_records = {}
-        missing = []
-        for sib in sorted(siblings):
-            rec = kb.query(ExperienceKey(args.action, args.mode, sib, model))
-            if rec is None:
-                missing.append(sib)
-            else:
-                sibling_records[sib] = rec
+        sibling_records = {sib: kb.records_for(args.action, args.mode, sib).get(model) for sib in sorted(siblings)}
+        missing = [sib for sib, rec in sibling_records.items() if rec is None]
         if missing:
             print(f"  model {model!r} generalises to {parent!r}: insufficient data "
                   f"(no experience on: {', '.join(missing)})")
@@ -330,9 +323,19 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def non_empty_str(text: str) -> str:
+    """``--action`` or ``--mode`` value, refused at parse time (exit 2): a
+    target with its own model records no experience, so the store never sees it."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a non-empty string")
+    return text
+
+
 def _add_key_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--action", default="default", help="action name for experience scoping")
-    parser.add_argument("--mode", default="default", help="action mode for experience scoping")
+    parser.add_argument("--action", type=non_empty_str, default="default",
+                        help="action name for experience scoping")
+    parser.add_argument("--mode", type=non_empty_str, default="default",
+                        help="action mode for experience scoping")
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:

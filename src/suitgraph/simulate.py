@@ -204,9 +204,10 @@ class TrialLog:
 
     def to_json(self) -> str:
         """Canonical text of the log: ``canonical.dumps`` of the config and
-        the steps. Each step's four maps are filled into templates shared by
-        every map with the same keys (see ``_StepMaps``); the document is one
-        join over a flat list of pieces, so no step's text is copied."""
+        the steps. A step whose four maps share one sorted key tuple is
+        filled into that tuple's templates (see ``_step_templates``); any
+        other step is one ``canonical.dumps``. The document is one join over
+        a flat list of pieces, so no step's text is copied."""
         override = self.config.similarity_override
         override_rows = (
             None
@@ -232,26 +233,37 @@ class TrialLog:
             "targets": list(self.config.targets),
             "trials_per_object": self.config.trials_per_object,
         })
-        maps = _StepMaps()
-        head, after_counts, after_estimates, after_posteriors, after_similarities = _STEP_PIECES
+        templates: dict = {}
+        # (head, values, text) of the last similarity text that may be reused
+        last = None
         text = _scalar_text
         parts = [_LOG_HEAD, config, _LOG_STEPS]
         for i, s in enumerate(self.steps):
             if i:
                 parts.append(",")
-            # the fields in canonical (sorted) key order, so the first value
-            # that cannot be emitted raises as it would in canonical.dumps
-            parts += (
-                head % text(s.cluster_size),
-                maps.counts(s.counts),
-                after_counts,
-                maps.floats(s.estimates),
-                after_estimates % (text(s.outcome), text(s.own_model)),
-                maps.floats(s.posteriors),
-                after_posteriors % text(s.selected),
-                maps.similarities(s.similarities),
-                after_similarities % (text(s.specification_needed), text(s.target), text(s.trial)),
-            )
+            found = values = None
+            if type(s.similarities) is dict:
+                keys = tuple(s.similarities)
+                found = templates.get(keys, False)
+                if found is False:
+                    found = templates[keys] = _step_templates(keys)
+                if found is not None:
+                    values = _map_values(s, keys)
+            if values is None:
+                parts.append(canonical.dumps(
+                    dict(vars(s), counts={c: [ns, nf] for c, (ns, nf) in s.counts.items()})))
+                continue
+            head, similarities = found
+            counts, estimates, posteriors, sims = values
+            parts.append(head % (text(s.cluster_size), *counts, *estimates, text(s.outcome),
+                                 text(s.own_model), *posteriors, text(s.selected)))
+            # equal exact floats have equal text, except 0.0 and -0.0
+            if last is not None and last[0] is head and last[1] == sims:
+                parts.append(last[2])
+            else:
+                parts.append(similarities % sims)
+                last = None if 0.0 in sims else (head, sims, parts[-1])
+            parts.append(_STEP_TAIL % (text(s.specification_needed), text(s.target), text(s.trial)))
         parts.append(_LOG_TAIL)
         return "".join(parts)
 
@@ -259,25 +271,40 @@ class TrialLog:
 _LOG_HEAD, _LOG_STEPS, _LOG_TAIL = canonical.template(
     {"config": canonical.STR, "steps": [canonical.STR]}).split("%s")
 
-_MAP_FIELDS = frozenset({"counts", "estimates", "posteriors", "similarities"})
+
+# a step's text with an encoded "%s" hole for each field, cut at its similarity map
+_STEP_HEAD, _STEP_TAIL = canonical.template(
+    dict.fromkeys((f.name for f in fields(TrialStep)), canonical.STR)).split('"similarities":%s')
+_STEP_HEAD += '"similarities":'
 
 
-def _step_pieces() -> list[str]:
-    """A step's canonical text cut at its four maps: five ``%`` templates
-    whose ``%s`` holes take the step's other fields, encoded, in key order."""
-    keys = sorted(f.name for f in fields(TrialStep))
-    # field names hold no "%", so every "%s" of the template is a hole
-    segments = canonical.template(dict.fromkeys(keys, canonical.STR)).split("%s")
-    pieces = [segments[0]]
-    for key, segment in zip(keys, segments[1:]):
-        if key in _MAP_FIELDS:
-            pieces.append(segment)
-        else:
-            pieces[-1] += "%s" + segment
-    return pieces
+def _step_templates(keys: tuple) -> tuple[str, str] | None:
+    """(head, similarities) templates of a step whose maps have the keys
+    ``keys``, None unless they are strings in sorted order. The head takes
+    the fields before the similarity map, ``_STEP_TAIL`` those after it."""
+    if not (set(map(type, keys)) <= {str} and list(keys) == sorted(keys)):
+        return None
+    floats = canonical.template(dict.fromkeys(keys, canonical.FLOAT))
+    counts = canonical.template(dict.fromkeys(keys, [canonical.INT, canonical.INT]))
+    # the map templates go into their holes verbatim; the other holes stay "%s"
+    return _STEP_HEAD % ("%s", counts, floats, "%s", "%s", floats, "%s"), floats
 
 
-_STEP_PIECES = _step_pieces()
+def _map_values(s: TrialStep, keys: tuple) -> tuple | None:
+    """(flat counts, estimates, posteriors, similarities) values of ``s``
+    when its maps are dicts over ``keys``, in that order, with exact finite
+    floats and ``(int, int)`` tuples, else None."""
+    if not (type(s.counts) is type(s.estimates) is type(s.posteriors) is dict
+            and tuple(s.counts) == tuple(s.estimates) == tuple(s.posteriors) == keys):
+        return None
+    pairs = tuple(s.counts.values())
+    counts = tuple(chain.from_iterable(pairs))
+    estimates, posteriors, sims = (tuple(m.values()) for m in (s.estimates, s.posteriors, s.similarities))
+    floats = estimates + posteriors + sims
+    if (set(map(type, pairs)) <= {tuple} and set(map(len, pairs)) <= {2} and set(map(type, counts)) <= {int}
+            and set(map(type, floats)) <= {float} and all(map(math.isfinite, floats))):
+        return counts, estimates, posteriors, sims
+    return None
 
 
 def _scalar_text(value) -> str:
@@ -293,82 +320,6 @@ def _scalar_text(value) -> str:
     if type(value) is str:
         return encode_basestring(value)
     return canonical.dumps(value)
-
-
-class _StepMaps:
-    """Canonical text of a trial log's maps, one template per key tuple.
-
-    A ``{name: float}`` map fits a template when it is a dict whose values
-    are exact, finite floats; a counts map when its values are
-    ``(n_success, n_failure)`` tuples of exact ints. Any other map goes
-    through ``canonical.dumps``, which raises ValueError for nan and inf and
-    TypeError for what JSON cannot hold. A template's keys are the map's
-    keys in sorted order, so a map is filled in that order.
-    """
-
-    def __init__(self):
-        self._float_templates: dict = {}
-        self._count_templates: dict = {}
-        # (keys, values, text) of the last similarity map that may be reused
-        self._last_similarities = None
-
-    @staticmethod
-    def _template(templates: dict, keys: tuple, hole) -> tuple[str, list | None]:
-        """(template, key order to fill, None when it is ``keys``' own)."""
-        found = templates.get(keys)
-        if found is None:
-            order = sorted(keys)
-            found = templates[keys] = (
-                canonical.template(dict.fromkeys(keys, hole)),
-                None if order == list(keys) else order,
-            )
-        return found
-
-    @staticmethod
-    def _float_values(m) -> tuple | None:
-        """The values of ``m`` when it fits a float template, else None."""
-        if type(m) is dict:
-            values = tuple(m.values())
-            if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
-                return values
-        return None
-
-    def floats(self, m, values: tuple | None = None) -> str:
-        if values is None:
-            values = self._float_values(m)
-            if values is None:
-                return canonical.dumps(m)
-        template, order = self._template(self._float_templates, tuple(m), canonical.FLOAT)
-        return template % (values if order is None else tuple([m[k] for k in order]))
-
-    def similarities(self, m) -> str:
-        """``floats(m)``, reusing the previous similarity map's text when the
-        bytes are provably equal: equal keys and equal values, all exact,
-        finite, non-zero floats. ``==`` alone would merge -0.0 with 0.0 and
-        1.0 with True, whose texts differ."""
-        values = self._float_values(m)
-        if values is None:
-            self._last_similarities = None
-            return canonical.dumps(m)
-        keys = tuple(m)
-        last = self._last_similarities
-        if last is not None and last[0] == keys and last[1] == values:
-            return last[2]
-        text = self.floats(m, values)
-        self._last_similarities = None if 0.0 in values else (keys, values, text)
-        return text
-
-    def counts(self, m) -> str:
-        if type(m) is dict:
-            pairs = tuple(m.values())
-            if set(map(type, pairs)) <= {tuple} and set(map(len, pairs)) <= {2}:
-                template, order = self._template(self._count_templates, tuple(m), [canonical.INT, canonical.INT])
-                if order is not None:
-                    pairs = tuple([m[k] for k in order])
-                flat = tuple(chain.from_iterable(pairs))
-                if set(map(type, flat)) <= {int}:
-                    return template % flat
-        return canonical.dumps({c: [ns, nf] for c, (ns, nf) in m.items()})
 
 
 def run_campaign(

@@ -82,6 +82,25 @@ def test_negative_max_ancestors_refused_for_own_model_target(capsys, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag", ["--action", "--mode"])
+@pytest.mark.parametrize("command", ["select", "simulate", "teach"])
+def test_empty_action_or_mode_refused_at_parse_time(capsys, monkeypatch, tmp_path, command, flag):
+    # an empty scope field would name no store scope; own-model targets never
+    # build one, so only the parser can refuse it for every target
+    monkeypatch.setattr("sys.stdin", io.StringIO("y\n"))
+    if command == "simulate":
+        args = ["--gt", write_gt(tmp_path, {("apple", "apple"): 0.9}), "--out", str(tmp_path / "out")]
+    else:
+        args = ["--kb", str(tmp_path / "kb.json")] if command == "teach" else []
+        args.append("tomato_can")
+    rc = main([command, "--ontology", ONTOLOGY, "--models", MODELS, flag, "", *args])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: must be a non-empty string" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["gt.json"] if command == "simulate" else [])
+
+
 def test_max_ancestors_must_be_an_integer(capsys):
     rc = main(["cluster", "--ontology", ONTOLOGY, "--models", MODELS, "--max-ancestors", "two", "banana"])
     assert rc == 2

@@ -15,6 +15,7 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from suitgraph import (
@@ -282,3 +283,36 @@ def test_golden_with_compensated_builtin_sum(case, monkeypatch, tmp_path, capsys
         test_wide_sibling_campaign_golden()
     else:
         test_simulate_from_kb_golden(case, tmp_path, capsys)
+
+
+# -- numpy's random streams ----------------------------------------------------------
+
+# SHA-256 of the draws a round takes from Generator(PCG64(0)), in the shapes
+# the round asks for: one (k, beta_sample_count) beta block for k = 3 and
+# 1,996 candidates, then scalar integers (tie-break) and uniforms (outcome)
+NUMPY_STREAM_GOLDEN = {
+    "beta k=3": "a503aad901ec8b8cc7abb5956774e7c97d7e39e9c652e8afbb3bfe391a730698",
+    "beta k=1996": "54b0e2163fb8e7bc9aa926ea59ea6b0d45ebaf2e365ca93e98fa93172a55fa27",
+    "integers": "8b0c8fbfd3b0d986c0de4dd8bcd51117a877ff6a79b8d3151d15b6522f06ad41",
+    "random": "9fea72e1d3e79688314ce69e2f60fdcd953ec5df60b345cd94c5ef3b7a858a85",
+}
+
+
+def numpy_draws(case: str) -> np.ndarray:
+    rng = np.random.Generator(np.random.PCG64(0))
+    if case.startswith("beta"):
+        i = np.arange(int(case.split("=")[1]))
+        # parameters below and above 1 take both of numpy's beta algorithms
+        a, b = 0.5 + i % 4, 0.5 + i % 3
+        return rng.beta(a[:, None], b[:, None], size=(len(i), 10)).astype("<f8")
+    if case == "integers":
+        return np.array([rng.integers(n) for n in (2, 3, 7, 1996) for _ in range(25)], dtype="<i8")
+    return np.array([rng.random() for _ in range(100)], dtype="<f8")
+
+
+@pytest.mark.parametrize("case", sorted(NUMPY_STREAM_GOLDEN))
+def test_numpy_random_streams_are_the_golden_ones(case):
+    digest = sha256(np.ascontiguousarray(numpy_draws(case)).tobytes())
+    assert digest == NUMPY_STREAM_GOLDEN[case], (
+        f"numpy {np.__version__} changed its {case} stream; the seeded goldens rest on these draws, "
+        "so their failures under this numpy come from numpy, not from a code change")

@@ -703,6 +703,8 @@ def _log(*steps):
 @example(_log(_step("t", {"a": 0.25, "b": 1.0}), _step("t", {"a": 0.25, "b": 1.0}, 1),
               _step("t", {"a": np.float64(0.25), "b": 1.0}, 2), _step("t", {"a": 0.25, "b": 1}, 3)))
 @example(_log(_step("%s", {"%d": 0.5, "%%": 0.5, '"\\\ud800': 0.1}), _step("é", {"b": 0.5, "a": 0.5})))
+# equal similarity values over other names: the first step's text must not be reused
+@example(_log(_step("t", {"a": 0.5, "b": 0.25}), _step("u", {"c": 0.5, "d": 0.25})))
 def test_trial_log_json_matches_one_dumps_of_the_document(log):
     assert log.to_json() == reference_log_json(log)
 
