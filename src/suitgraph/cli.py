@@ -142,7 +142,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     print(f"target: {args.target}")
     if trace["own_model"]:
         print(f"target {args.target!r} has its own execution model; nothing to transfer")
-    for name in trace["candidates"]:
+    for name in trace["similarities"]:
         n_success, n_failure = trace["counts"][name]
         print(
             f"  {name}"
@@ -315,8 +315,8 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
 
 
 def non_negative_int(text: str) -> int:
-    """``--max-ancestors`` value, refused at parse time (exit 2): a target
-    with its own model builds no cluster, so the library would never see it."""
+    """``--max-ancestors`` value, refused at parse time (exit 2), before any
+    taxonomy or store file is read."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"max_ancestor_hops must be None or >= 0, got {value}")

@@ -273,52 +273,39 @@ class ClassHierarchy:
 
     # -- serialization ------------------------------------------------------
 
-    def _tree_json(self, indent: int | None, item_sep: str, key_sep: str) -> str:
-        """``json.dumps`` of the nested {"name", "children"} form, same bytes.
+    def to_json_tree(self) -> str:
+        """Serialize as compact json-tree with children sorted by name: the
+        bytes of ``json.dumps(tree, separators=(",", ":"))``.
 
+        parse_json_tree(h.to_json_tree()) == h for every hierarchy, and the
+        output is canonical: equal hierarchies serialize to equal bytes.
         Built with an explicit stack: json.dumps itself recurses and fails on
         a taxonomy a few hundred levels deep.
         """
-        def newline(level: int) -> str:
-            return "" if indent is None else "\n" + " " * (indent * level)
-
         parts: list[str] = []
-        stack: list = [(self._root, 0)]
+        # closing text, or (text before the node, node name)
+        stack: list = [("", self._root)]
         while stack:
             item = stack.pop()
             if isinstance(item, str):
                 parts.append(item)
                 continue
-            name, level = item
-            parts.append("{" + newline(level + 1) + '"name"' + key_sep + encode_basestring_ascii(name))
-            stack.append(newline(level) + "}")
+            lead, name = item
             kids = self._children[name]
+            parts.append(lead + '{"name":' + encode_basestring_ascii(name) + (',"children":[' if kids else "}"))
             if kids:
-                parts.append(item_sep + newline(level + 1) + '"children"' + key_sep + "["
-                             + newline(level + 2))
-                stack.append(newline(level + 1) + "]")
-                for i, kid in enumerate(reversed(kids)):
-                    if i:
-                        stack.append(item_sep + newline(level + 2))
-                    stack.append((kid, level + 2))
+                stack.append("]}")
+                stack.extend((",", kid) for kid in reversed(kids[1:]))
+                stack.append(("", kids[0]))
         return "".join(parts)
 
-    def to_json_tree(self, *, indent: int | None = 2) -> str:
-        """Serialize as json-tree with children sorted by name.
-
-        parse_json_tree(h.to_json_tree()) == h for every hierarchy, and the
-        output is canonical: equal hierarchies serialize to equal bytes.
-        """
-        return self._tree_json(indent, "," if indent is not None else ", ", ": ")
-
     def checksum(self) -> str:
-        """SHA-256 of the compact canonical json-tree form.
+        """SHA-256 of ``to_json_tree()``.
 
         Format-independent: a hierarchy parsed from OWL and its json-tree
         round-trip produce the same digest.
         """
-        compact = self._tree_json(None, ",", ":")
-        return hashlib.sha256(compact.encode("utf-8")).hexdigest()
+        return hashlib.sha256(self.to_json_tree().encode("utf-8")).hexdigest()
 
 
 # -- parsing ---------------------------------------------------------------

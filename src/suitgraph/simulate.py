@@ -168,11 +168,11 @@ class CampaignConfig:
             raise ValueError("campaign needs at least one target")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError("campaign targets must be distinct")
-        if not (isinstance(self.trials_per_object, int) and self.trials_per_object >= 1):
+        if not (type(self.trials_per_object) is int and self.trials_per_object >= 1):
             raise ValueError(f"trials_per_object must be a positive integer, got {self.trials_per_object!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.similarity_override is not None:
             self.similarity_override = dict(self.similarity_override)
@@ -180,7 +180,9 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class TrialStep:
-    """One selection round as logged: belief snapshot plus outcome."""
+    """One selection round as logged: belief snapshot plus outcome. The
+    fields other than ``trial`` are those ``generalise_execution_model``
+    fills into its ``trace``."""
 
     trial: int
     target: str
@@ -332,6 +334,7 @@ def run_campaign(
     """Run the campaign; returns the trial log, mutating ``store`` in place.
 
     A fresh store bound to the hierarchy is created when none is given.
+    Each step is a round's ``trace`` with its trial number added.
     Each target's suitability graph lives for all of the target's rounds:
     every round records its outcome, and the posterior snapshots are
     written once, after the target's last round. Posterior mass is checked
@@ -361,11 +364,6 @@ def run_campaign(
             override = {
                 cand: s for (t, cand), s in config.similarity_override.items() if t == target
             }
-        own_cluster_size = 0
-        if target in registry:
-            # own-model rounds skip clustering; the log still reports the cluster size
-            own_cluster_size = len(hierarchy.object_cluster(
-                target, registry.__contains__, max_ancestor_hops=config.max_ancestor_hops))
         beliefs: dict = {}
         for trial in range(config.trials_per_object):
             trace: dict = {}
@@ -389,19 +387,7 @@ def run_campaign(
                         f"posterior mass {mass!r} for target {target!r} at trial {trial}"
                     )
 
-            steps.append(TrialStep(
-                trial=trial,
-                target=target,
-                cluster_size=own_cluster_size if trace["own_model"] else trace["cluster_size"],
-                selected=trace["selected"],
-                outcome=trace["outcome"],
-                own_model=trace["own_model"],
-                specification_needed=trace["specification_needed"],
-                similarities=trace["similarities"],
-                estimates=trace["estimates"],
-                posteriors=posteriors,
-                counts=trace["counts"],
-            ))
+            steps.append(TrialStep(trial=trial, **trace))
         for graph in beliefs.values():
             store_posteriors(graph, store)
     return TrialLog(config, steps)

@@ -85,7 +85,7 @@ class SuitabilityConfig:
             raise ValueError(f"beta0 must be a positive finite float, got {self.beta0!r}")
         if not (0.0 < self.tau < 1.0):
             raise ValueError(f"tau must lie in (0, 1), got {self.tau!r}")
-        if not (isinstance(self.beta_sample_count, int) and 1 <= self.beta_sample_count <= BETA_SAMPLE_MAX):
+        if not (type(self.beta_sample_count) is int and 1 <= self.beta_sample_count <= BETA_SAMPLE_MAX):
             raise ValueError(f"beta_sample_count must be an integer in [1, {BETA_SAMPLE_MAX}], "
                              f"got {self.beta_sample_count!r}")
 
@@ -453,12 +453,12 @@ def generalise_execution_model(
 
     Control flow:
 
-    1. ``target`` already has its own model -> execute it directly and return
+    1. Build the object cluster, unless ``beliefs`` holds the target's graph.
+    2. ``target`` already has its own model -> execute it directly and return
        (target, outcome); the store is not touched.
-    2. Otherwise build the object cluster, unless ``beliefs`` holds the
-       target's graph. Empty cluster -> return (None, None); the caller
-       must learn a new model (specification).
-    3. Otherwise build the graph from the store (or reuse it), run one
+    3. Empty cluster -> return (None, None); the caller must learn a new
+       model (specification).
+    4. Otherwise build the graph from the store (or reuse it), run one
        posterior update, pick a candidate (``selector`` overrides the
        posterior argmax for ablation baselines), execute its model on
        ``target``, record the outcome under (action, mode, target,
@@ -469,11 +469,10 @@ def generalise_execution_model(
     raises, the store is left untouched. ``executor=None`` is a dry run:
     the round selects as a real one would and returns (selected, None),
     executing nothing and writing nothing to the store. ``trace``, when
-    given, is filled before the executor runs with the round's candidates,
-    similarities, estimates, posteriors, (n_success, n_failure) counts and
-    flags; the selected candidate's counts then include the outcome.
-    ``reset_posteriors`` discards stored posteriors when the graph is built
-    from the store.
+    given, is filled with the fields of ``simulate.TrialStep`` but ``trial``
+    before the executor runs; then ``outcome`` is set, and the selected
+    candidate's counts include it. ``reset_posteriors`` discards stored
+    posteriors when the graph is built from the store.
 
     ``beliefs`` keeps graphs alive across rounds. With None, every round
     builds the graph from the store and writes all the snapshots back. With
@@ -493,22 +492,23 @@ def generalise_execution_model(
     if trace is None:
         trace = {}
     trace.update(
-        target=target, own_model=False, specification_needed=False,
-        selected=None, outcome=None, candidates=[], similarities={},
-        estimates={}, posteriors={}, counts={}, cluster_size=0,
+        target=target, own_model=target in registry, specification_needed=False,
+        selected=None, outcome=None, cluster_size=0,
+        similarities={}, estimates={}, posteriors={}, counts={},
     )
-
-    if target in registry:
-        trace.update(own_model=True, selected=target)
-        if executor is not None:
-            trace["outcome"] = bool(executor(target, target))
-        return target, trace["outcome"]
 
     graph = beliefs.get((action, mode, target)) if beliefs is not None else None
     if graph is None:
         cluster = hierarchy.object_cluster(target, registry.__contains__, max_ancestor_hops=max_ancestor_hops)
+        trace["cluster_size"] = len(cluster)
+    if trace["own_model"]:
+        trace["selected"] = target
+        outcome = trace["outcome"] = None if executor is None else bool(executor(target, target))
+        return target, outcome
+
+    if graph is None:
         if not cluster.members:
-            trace.update(specification_needed=True)
+            trace["specification_needed"] = True
             return None, None
         graph = graph_from_store(
             cluster, hierarchy, store, cfg,
@@ -529,12 +529,11 @@ def generalise_execution_model(
         raise ValueError(f"selector returned {chosen!r}, not a cluster member") from None
     trace.update(
         selected=chosen,
-        candidates=list(graph.candidates),
+        cluster_size=len(graph.candidates),
         similarities=graph.similarity_map.copy(),
         estimates=graph.last_estimates.copy(),
         posteriors=graph.posteriors(),
         counts=graph.count_map.copy(),
-        cluster_size=len(graph.candidates),
     )
     if executor is None:
         return chosen, None

@@ -38,6 +38,36 @@ def write_gt(tmp_path, entries, default=0.0, name="gt.json"):
     return str(path)
 
 
+# -- README quick start ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["cluster", "--ontology", ONTOLOGY, "--models", MODELS, "tomato_can"],
+     "chips_can\nsugar_box\nsize: 2\n"),
+    (["similarity", "--ontology", ONTOLOGY, "apple", "banana"], "0.750000\n"),
+    (["select", "--ontology", ONTOLOGY, "--models", MODELS, "--seed", "7", "tomato_can"],
+     "target: tomato_can\n"
+     "  chips_can  similarity=0.666667  n_success=0  n_failure=0  posterior=0.498994\n"
+     "  sugar_box  similarity=0.666667  n_success=0  n_failure=0  posterior=0.501006\n"
+     "selected: sugar_box\n"),
+], ids=["cluster", "similarity", "select"])
+def test_readme_quick_start(capsys, argv, expected):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_readme_quick_start_simulate(capsys, tmp_path):
+    gt = write_gt(tmp_path, {("tomato_can", "chips_can"): 0.9, ("tomato_can", "sugar_box"): 0.2,
+                             ("banana", "apple"): 0.8})
+    rc = main(["simulate", "--ontology", ONTOLOGY, "--gt", gt, "--trials", "25", "--seed", "0",
+               "--out", str(tmp_path / "run")])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "target,cluster_size,models_attempted,o_star,n_success\n"
+        "banana,1,1,apple,19\n"
+        "tomato_can,2,1,chips_can,21\n")
+
+
 # -- cluster -----------------------------------------------------------------
 
 

