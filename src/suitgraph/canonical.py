@@ -16,10 +16,11 @@ How it emits: one recursive function dispatches on the exact types ``float``,
 ``isinstance`` for ``None``, ``bool`` and subclasses (``numpy.float64``,
 ``str`` and ``dict`` subclasses). Strings are escaped by the C
 ``json.encoder.encode_basestring``, the function ``json.dumps(s,
-ensure_ascii=False)`` calls, and each object key's ``"key":`` text is encoded
-once per call. Every container returns its own ``",".join(...)`` instead of
-appending to one list of all the small parts of the document, which keeps
-the transient memory of a large export small. The output, and the exception
+ensure_ascii=False)`` calls. The ``dumps`` and ``template`` emitters are
+built once, at import, and keep no state between calls. Every container
+returns its own ``",".join(...)`` instead of appending to one list of all
+the small parts of the document, which keeps the transient memory of a
+large export small. The output, and the exception
 type raised for nan/inf (``ValueError``), a non-string key or an unsupported
 object (``TypeError``), are those of the recursive part-list emitter this
 replaced; ``tests/test_canonical.py`` keeps that emitter as its reference.
@@ -61,38 +62,17 @@ INT = _Hole("%d")
 STR = _Hole("%s")
 
 
-class _KeyText(dict):
-    """``"key":`` text per object key, encoded on first use."""
-
-    def __init__(self, encode):
-        super().__init__()
-        self.encode = encode
-
-    def __missing__(self, key):
-        if not isinstance(key, str):
-            raise TypeError(f"canonical JSON object keys must be strings, got {type(key).__name__}")
-        text = self[key] = self.encode(key) + ":"
-        return text
-
-
 def _template_text(s: str) -> str:
     return encode_basestring(s).replace("%", "%%")
 
 
-def dumps(obj) -> str:
-    """Serialize nested dict/list/tuple/str/int/float/bool/None canonically."""
-    return _emitter(encode_basestring, holes=False)(obj)
-
-
-def template(obj) -> str:
-    """``obj`` as a ``%``-format string with its ``FLOAT``, ``INT`` and
-    ``STR`` sentinels as holes and every literal ``%`` doubled."""
-    return _emitter(_template_text, holes=True)(obj)
-
-
 def _emitter(encode, holes: bool):
-    key_text = _KeyText(encode)
     isfinite = math.isfinite
+
+    def key_text(k) -> str:
+        if not isinstance(k, str):
+            raise TypeError(f"canonical JSON object keys must be strings, got {type(k).__name__}")
+        return encode(k) + ":"
 
     def emit(o) -> str:
         t = type(o)
@@ -103,7 +83,7 @@ def _emitter(encode, holes: bool):
         if t is str:
             return encode(o)
         if t is dict:
-            return "{" + ",".join([key_text[k] + emit(o[k]) for k in sorted(o)]) + "}"
+            return "{" + ",".join([key_text(k) + emit(o[k]) for k in sorted(o)]) + "}"
         if t is list or t is tuple:
             return "[" + ",".join([emit(item) for item in o]) + "]"
         if t is int:
@@ -130,3 +110,18 @@ def _emitter(encode, holes: bool):
         raise TypeError(f"type {type(o).__name__} is not serializable to canonical JSON")
 
     return emit
+
+
+_dumps = _emitter(encode_basestring, holes=False)
+_template = _emitter(_template_text, holes=True)
+
+
+def dumps(obj) -> str:
+    """Serialize nested dict/list/tuple/str/int/float/bool/None canonically."""
+    return _dumps(obj)
+
+
+def template(obj) -> str:
+    """``obj`` as a ``%``-format string with its ``FLOAT``, ``INT`` and
+    ``STR`` sentinels as holes and every literal ``%`` doubled."""
+    return _template(obj)

@@ -68,6 +68,12 @@ class ObjectCluster:
         return len(self.members)
 
 
+def check_ancestor_hops(max_ancestor_hops) -> None:
+    """ValueError unless ``max_ancestor_hops`` is None or an int >= 0."""
+    if max_ancestor_hops is not None and not (type(max_ancestor_hops) is int and max_ancestor_hops >= 0):
+        raise ValueError(f"max_ancestor_hops must be None or an integer >= 0, got {max_ancestor_hops!r}")
+
+
 class ClassHierarchy:
     """Immutable rooted tree of object classes.
 
@@ -100,7 +106,7 @@ class ClassHierarchy:
             if par is not None and par not in self._parent:
                 raise OntologyError(f"parent {par!r} of class {name!r} is not declared", class_id=name)
 
-        self._children: dict[str, tuple[str, ...]] = {c: () for c in self._parent}
+        self._children: dict[str, tuple[str, ...]] = {}
         kids: dict[str, list[str]] = {c: [] for c in self._parent}
         for name, par in self._parent.items():
             if par is not None:
@@ -188,19 +194,8 @@ class ClassHierarchy:
         A class subsumes itself, so lcs(x, x) == x and lcs(x, ancestor) is
         the ancestor.
         """
-        self._require(a)
-        self._require(b)
-        line: set[str] = set()
-        cur: str | None = a
-        while cur is not None:
-            line.add(cur)
-            cur = self._parent[cur]
-        cur = b
-        while cur is not None:
-            if cur in line:
-                return cur
-            cur = self._parent[cur]
-        raise OntologyError(f"no common subsumer for {a!r} and {b!r}")  # unreachable in a tree
+        line = {a, *self.ancestors(a)}
+        return next(c for c in (b, *self.ancestors(b)) if c in line)
 
     def wup_similarity(self, a: str, b: str) -> float:
         """Wu-Palmer similarity: 2*depth(lcs) / (depth(a) + depth(b)).
@@ -218,13 +213,8 @@ class ClassHierarchy:
         with the target (a sibling after one step). Unknown classes raise
         UnknownClassError, the target first, then ``others`` in order.
         """
-        self._require(target)
         parent, depth = self._parent, self._depth
-        line: dict[str, int] = {}
-        cur: str | None = target
-        while cur is not None:
-            line[cur] = depth[cur]
-            cur = parent[cur]
+        line = {c: depth[c] for c in (target, *self.ancestors(target))}
         target_depth = depth[target]
         out: dict[str, float] = {}
         for other in others:
@@ -242,19 +232,12 @@ class ClassHierarchy:
 
         ``max_ancestor_hops`` caps how many parent steps contribute ancestors
         (None = all the way to the root); siblings and children are always
-        included. A negative cap is a ValueError.
+        included. A cap other than None or an ``int`` of at least 0 (a bool,
+        a float, a negative int) is a ValueError.
         """
-        self._require(class_id)
-        if max_ancestor_hops is not None and max_ancestor_hops < 0:
-            raise ValueError(f"max_ancestor_hops must be None or >= 0, got {max_ancestor_hops!r}")
-        out = set(self._children[class_id]) | self.siblings(class_id)
-        hops = 0
-        cur = self._parent[class_id]
-        while cur is not None and (max_ancestor_hops is None or hops < max_ancestor_hops):
-            out.add(cur)
-            hops += 1
-            cur = self._parent[cur]
-        return frozenset(out)
+        ancestors = self.ancestors(class_id)
+        check_ancestor_hops(max_ancestor_hops)
+        return self.siblings(class_id).union(self._children[class_id], ancestors[:max_ancestor_hops])
 
     def object_cluster(
         self,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from itertools import chain
 from json.encoder import encode_basestring
 from typing import Mapping
@@ -35,7 +35,7 @@ from typing import Mapping
 import numpy as np
 
 from . import canonical
-from .ontology import ClassHierarchy, UnknownClassError
+from .ontology import ClassHierarchy, UnknownClassError, check_ancestor_hops
 from .store import KnowledgeBase
 from .suitability import (
     NormalizationError,
@@ -174,6 +174,7 @@ class CampaignConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_ancestor_hops(self.max_ancestor_hops)
         if self.similarity_override is not None:
             self.similarity_override = dict(self.similarity_override)
 
@@ -448,21 +449,10 @@ def summarize(log: TrialLog) -> list[TargetSummary]:
 def report_csv(rows: list[TargetSummary]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["target", "cluster_size", "models_attempted", "o_star", "n_success"])
-    for row in rows:
-        writer.writerow([row.target, row.cluster_size, row.models_attempted, row.o_star, row.n_success])
+    writer.writerow([f.name for f in fields(TargetSummary)])
+    writer.writerows(map(astuple, rows))
     return buf.getvalue()
 
 
 def report_json(rows: list[TargetSummary]) -> str:
-    doc = [
-        {
-            "cluster_size": row.cluster_size,
-            "models_attempted": row.models_attempted,
-            "n_success": row.n_success,
-            "o_star": row.o_star,
-            "target": row.target,
-        }
-        for row in rows
-    ]
-    return canonical.dumps(doc)
+    return canonical.dumps(list(map(asdict, rows)))

@@ -110,16 +110,8 @@ class KnowledgeBase:
 
     def items(self) -> list[tuple[ExperienceKey, ExperienceRecord]]:
         """All entries sorted by key."""
-        return [(ExperienceKey(*scope, candidate), rec) for scope, candidate, rec in self._sorted()]
-
-    def _sorted(self):
-        """(scope, candidate, record) in key order: sorted scopes, then
-        sorted candidates, the order of sorting the (action, mode, target,
-        candidate) tuples."""
-        for scope in sorted(self._scopes):
-            records = self._scopes[scope]
-            for candidate in sorted(records):
-                yield scope, candidate, records[candidate]
+        return [(ExperienceKey(*scope, candidate), records[candidate])
+                for scope, records in sorted(self._scopes.items()) for candidate in sorted(records)]
 
     # no public method here calls another that benchmarks/tracing.py wraps
     # (query, append, set_posterior), so a wrapped method counts outside calls only

@@ -184,9 +184,11 @@ class SuitabilityGraph:
 
     ``candidates`` lists the object cluster members at construction time in
     sorted order, and row i of every column belongs to ``candidates[i]``:
-    the fixed similarity, the outcome counts (n+, n-) and the posterior.
-    Posteriors always sum to 1 after an update. A graph with no candidates
-    cannot be made (EmptyClusterError), so nothing that takes a graph checks.
+    the fixed similarity, the outcome counts (n+, n-), the posterior and
+    the sampled success estimate of the last update (``estimates``, empty
+    before the first). Posteriors always sum to 1 after an update. A graph
+    with no candidates cannot be made (EmptyClusterError), so nothing that
+    takes a graph checks.
     ``similarity_map`` and ``count_map`` hold the similarity and count rows
     as dicts for the round's trace, built once; whatever changes a count
     column changes ``count_map`` with it.
@@ -201,7 +203,7 @@ class SuitabilityGraph:
     n_success: np.ndarray
     n_failure: np.ndarray
     post: np.ndarray
-    last_estimates: dict[str, float] = field(default_factory=dict)
+    estimates: np.ndarray = field(default_factory=lambda: np.empty(0))
     log_similarity: np.ndarray = field(init=False, repr=False)
     similarity_map: dict[str, float] = field(init=False, repr=False)
     count_map: dict[str, tuple[int, int]] = field(init=False, repr=False)
@@ -281,19 +283,19 @@ def update_posteriors(graph: SuitabilityGraph, rng: np.random.Generator) -> Suit
     a, b = beta_parameters(graph.n_success, graph.n_failure, cfg)
     draws = rng.beta(a[:, None], b[:, None], size=(k, cfg.beta_sample_count))
     estimates = np.minimum(np.maximum(np.add.reduce(draws, axis=1) / cfg.beta_sample_count,
-                                      _ESTIMATE_EPS), 1.0 - _ESTIMATE_EPS).tolist()
+                                      _ESTIMATE_EPS), 1.0 - _ESTIMATE_EPS)
 
     # a prior of exactly 0 has the log term -inf, so its posterior stays 0
     live = graph.post > 0.0
     log_priors = np.fromiter(map(math.log, np.where(live, graph.post, 1.0).tolist()), float, k)
     np.putmask(log_priors, ~live, -math.inf)
-    log_unnorm = graph.log_similarity + np.fromiter(map(math.log, estimates), float, k) + log_priors
+    log_unnorm = graph.log_similarity + np.fromiter(map(math.log, estimates.tolist()), float, k) + log_priors
     shift = np.maximum.reduce(log_unnorm)
     if shift == -math.inf:
         raise NormalizationError(f"all candidate posteriors vanished for target {graph.target!r}")
     weights = np.fromiter(map(math.exp, (log_unnorm - shift).tolist()), float, k)
     graph.post = weights / _left_sum(weights)
-    graph.last_estimates = dict(zip(graph.candidates, estimates))
+    graph.estimates = estimates
     return graph
 
 
@@ -531,7 +533,7 @@ def generalise_execution_model(
         selected=chosen,
         cluster_size=len(graph.candidates),
         similarities=graph.similarity_map.copy(),
-        estimates=graph.last_estimates.copy(),
+        estimates=dict(zip(graph.candidates, graph.estimates.tolist())),
         posteriors=graph.posteriors(),
         counts=graph.count_map.copy(),
     )

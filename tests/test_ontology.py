@@ -280,6 +280,21 @@ def test_relatives_rejects_negative_cap(household, cap):
         household.object_cluster("banana", FIXTURE_MODELS.__contains__, max_ancestor_hops=cap)
 
 
+@pytest.mark.parametrize("cap", [True, False, 2.5])
+def test_relatives_rejects_cap_that_is_not_an_int(household, cap):
+    # a bool or float cap used to act as a count of steps (True as 1, 2.5 as 3);
+    # test_relatives_rejects_negative_cap has the negative ints
+    with pytest.raises(ValueError, match="max_ancestor_hops"):
+        household.relatives("apple", max_ancestor_hops=cap)
+    with pytest.raises(ValueError, match="max_ancestor_hops"):
+        household.object_cluster("banana", FIXTURE_MODELS.__contains__, max_ancestor_hops=cap)
+
+
+def test_relatives_reports_unknown_class_before_bad_cap(household):
+    with pytest.raises(UnknownClassError):
+        household.relatives("nope", max_ancestor_hops=2.5)
+
+
 def test_relatives_zero_cap_has_no_ancestors(household):
     assert household.relatives("apple", max_ancestor_hops=0) == {"banana", "orange", "strawberry"}
 
@@ -524,6 +539,52 @@ def test_relatives_never_contain_self(parent):
     h = ClassHierarchy(parent)
     for c in sorted(h.classes)[:10]:
         assert c not in h.relatives(c)
+
+
+def reference_relatives(h, c, cap):
+    """Ancestors within ``cap`` parent steps, siblings and children, by a
+    walk over the parent pointers."""
+    out = set(h.children(c)) | h.siblings(c)
+    hops = 0
+    cur = h.parent(c)
+    while cur is not None and (cap is None or hops < cap):
+        out.add(cur)
+        hops += 1
+        cur = h.parent(cur)
+    return frozenset(out)
+
+
+def reference_lcs(h, a, b):
+    """First class on b's line to the root that is on a's line."""
+    line = set()
+    cur = a
+    while cur is not None:
+        line.add(cur)
+        cur = h.parent(cur)
+    cur = b
+    while cur not in line:
+        cur = h.parent(cur)
+    return cur
+
+
+@given(parent_maps())
+@settings(max_examples=60)
+def test_taxonomy_walks_match_reference(parent):
+    h = ClassHierarchy(parent)
+    nodes = sorted(h.classes)
+    for c in nodes:
+        for cap in (None, 0, 1, 2):
+            assert h.relatives(c, max_ancestor_hops=cap) == reference_relatives(h, c, cap)
+    for a in nodes[:8]:
+        for b in nodes[:8]:
+            assert h.lcs(a, b) == reference_lcs(h, a, b)
+
+
+def test_lcs_reports_first_unknown_class(toy):
+    for a, b, unknown in (("nope", "also_nope", "nope"), ("apple", "nope", "nope")):
+        with pytest.raises(UnknownClassError) as exc_info:
+            toy.lcs(a, b)
+        assert exc_info.value.class_id == unknown
 
 
 def test_sibling_beats_ancestors_above_parent():

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from unittest import mock
@@ -25,6 +27,7 @@ from suitgraph.simulate import (
     baseline_select,
     report_csv,
     report_json,
+    TargetSummary,
     TrialLog,
     TrialStep,
     simulate_execution,
@@ -128,6 +131,14 @@ def test_campaign_config_validation(kwargs):
         CampaignConfig(**kwargs)
 
 
+@pytest.mark.parametrize("cap", [True, 2.5, -1])
+def test_campaign_config_refuses_cap_that_is_not_a_non_negative_int(cap):
+    # refused when the config is made, not when a round builds a cluster;
+    # True and 2.5 used to run and be logged as true and 2.5
+    with pytest.raises(ValueError, match="max_ancestor_hops"):
+        CampaignConfig(targets=("tomato_can",), max_ancestor_hops=cap)
+
+
 # -- baseline selectors ---------------------------------------------------------------
 
 
@@ -224,7 +235,7 @@ def test_campaign_step_maps_belong_to_the_caller(household):
         trace["similarities"].clear()
         trace["counts"].clear()
         trace["estimates"].clear()
-        assert all(graph.last_estimates for graph in beliefs.values())
+        assert all(len(graph.estimates) == len(graph.candidates) for graph in beliefs.values())
         return result
 
     kb = KnowledgeBase(CFG, household.checksum())
@@ -536,6 +547,51 @@ def test_report_json_mirrors_csv(household):
         "o_star": rows[0].o_star,
         "n_success": rows[0].n_success,
     }]
+
+
+def reference_report_csv(rows):
+    """The report's columns, written out by hand."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["target", "cluster_size", "models_attempted", "o_star", "n_success"])
+    for row in rows:
+        writer.writerow([row.target, row.cluster_size, row.models_attempted, row.o_star, row.n_success])
+    return buf.getvalue()
+
+
+def reference_report_json(rows):
+    """The report's rows as objects, written out by hand."""
+    return canonical.dumps([
+        {
+            "cluster_size": row.cluster_size,
+            "models_attempted": row.models_attempted,
+            "n_success": row.n_success,
+            "o_star": row.o_star,
+            "target": row.target,
+        }
+        for row in rows
+    ])
+
+
+# names that need CSV quoting or JSON escaping
+REPORT_NAMES = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["a,b", 'say "hi"', "two\nlines", "cr\rlf\n", "épée", "杯子", " lead", "/", "%s"]),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.builds(
+    TargetSummary,
+    target=REPORT_NAMES,
+    cluster_size=st.integers(0, 3000),
+    models_attempted=st.integers(0, 3000),
+    o_star=REPORT_NAMES,
+    n_success=st.integers(0, 10**6),
+), max_size=6))
+def test_reports_match_reference(rows):
+    assert report_csv(rows) == reference_report_csv(rows)
+    assert report_json(rows) == reference_report_json(rows)
 
 
 def test_trial_log_json_parses_and_is_stable(household):

@@ -259,7 +259,7 @@ def test_update_hand_oracle():
     update_posteriors(g, FixedEstimates({"strong": 0.9, "weak": 0.3}))
     assert g.posterior("strong") == pytest.approx(0.75, abs=1e-12)
     assert g.posterior("weak") == pytest.approx(0.25, abs=1e-12)
-    assert g.last_estimates == {"strong": 0.9, "weak": 0.3}
+    assert g.estimates.tolist() == [0.9, 0.3]
 
 
 def per_candidate_estimates(graph, rng):
@@ -291,8 +291,8 @@ def test_batched_draw_matches_per_candidate_calls(k, samples):
     update_posteriors(per_candidate, FixedEstimates(want))
     update_posteriors(g, rng)
 
-    assert g.last_estimates == want
-    assert list(g.last_estimates) == sorted(names)
+    assert g.estimates.tolist() == list(want.values())
+    assert g.candidates == list(want) == sorted(names)
     assert g.posteriors() == per_candidate.posteriors()
     assert rng.random() == ref_rng.random()
 
@@ -331,8 +331,8 @@ def assert_update_matches_reference(cfg, sims, counts, priors, seed):
         return
     want_estimates, want_post = reference_update(g, ref_rng)
     update_posteriors(g, rng)
-    assert list(g.last_estimates) == names
-    assert np.array(list(g.last_estimates.values())).tobytes() == np.array(want_estimates).tobytes()
+    assert len(g.estimates) == len(names)
+    assert g.estimates.tobytes() == np.array(want_estimates).tobytes()
     assert g.post.tobytes() == want_post.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -385,8 +385,8 @@ def test_update_visits_candidates_sorted():
     fake = FixedEstimates({"zeta": 0.1, "alpha": 0.7, "mid": 0.4})
     update_posteriors(g, fake)
     assert fake.params == [([2.0, 3.0, 4.0], [7.0, 6.0, 5.0])]
-    assert g.last_estimates == {"alpha": 0.7, "mid": 0.4, "zeta": 0.1}
-    assert list(g.last_estimates) == ["alpha", "mid", "zeta"]
+    assert g.estimates.tolist() == [0.7, 0.4, 0.1]
+    assert g.candidates == ["alpha", "mid", "zeta"]
 
 
 @pytest.mark.parametrize("draw, estimate", [(0.0, 1e-12), (1.0, 1.0 - 1e-12), (1e-300, 1e-12)])
@@ -394,7 +394,7 @@ def test_update_clips_sampled_estimates(draw, estimate):
     # a beta draw at or next to 0 or 1 becomes an estimate inside (0, 1)
     g = uniform_graph("a", "b", cfg=ONE_DRAW)
     update_posteriors(g, FixedEstimates({"a": draw, "b": 0.5}))
-    assert g.last_estimates == {"a": estimate, "b": 0.5}
+    assert g.estimates.tolist() == [estimate, 0.5]
     assert all(0.0 < p < 1.0 for p in g.posteriors().values())
 
 
