@@ -6,10 +6,11 @@ is canonical (sorted entries, sorted keys, %.17g floats), which makes equal
 stores byte-identical and `import(export(kb)) == kb` exact. Writes go
 through a temp file in the same directory plus an atomic rename, so a
 concurrent reader sees either the old or the new store, never a torn one.
-A save emits the whole store and keeps no text from one save to the next,
-so every save of a store costs the same. Entries are filled into one
-`canonical.template`, so an entry is one `%` over its key strings, counts
-and posterior.
+Entries are filled into one `canonical.template`, so an entry is one `%`
+over its key strings, counts and posterior. A scope's entry text is kept
+until the scope is written: an export re-formats only the scopes written
+since the last one (a teach round writes one), and its bytes are those of
+one `canonical.dumps` of the whole document.
 
 Schema (version 1):
 
@@ -59,6 +60,8 @@ _ENTRY_FIELDS = ("action", "candidate", "mode", "n_failure", "n_success", "poste
 
 _DOCUMENT = canonical.template(
     {"entries": [canonical.STR], "meta": canonical.STR, "version": SCHEMA_VERSION})
+# its text before the entries, between them and meta, and after meta
+_HEAD, _MID, _TAIL = (_DOCUMENT % ("\0", "\0")).split("\0")
 _ENTRY = canonical.template({
     "action": canonical.STR,
     "candidate": canonical.STR,
@@ -84,6 +87,8 @@ class KnowledgeBase:
         self.config = config if config is not None else SuitabilityConfig()
         self.ontology_checksum = ontology_checksum
         self._scopes: dict[tuple[str, str, str], dict[str, ExperienceRecord]] = {}
+        # scope -> its entries' export text; a writer drops its scope's text
+        self._text: dict[tuple[str, str, str], str] = {}
 
     def __len__(self) -> int:
         return sum(len(records) for records in self._scopes.values())
@@ -123,6 +128,7 @@ class KnowledgeBase:
         ok = bool(outcome)
         updated = ExperienceRecord(current.n_success + ok, current.n_failure + (not ok), posterior)
         self._scopes.setdefault(scope, {})[key.candidate] = updated
+        self._text.pop(scope, None)
         return updated
 
     def set_posterior(self, key: ExperienceKey, posterior: float) -> ExperienceRecord:
@@ -148,14 +154,16 @@ class KnowledgeBase:
         """
         for fname, value in (("action", action), ("mode", mode), ("target", target)):
             check_key_field(fname, value)
-        current = self._scopes.get((action, mode, target), _NO_RECORDS)
+        scope = (action, mode, target)
+        current = self._scopes.get(scope, _NO_RECORDS)
         updated: dict[str, ExperienceRecord] = {}
         for candidate, posterior in zip(candidates, posteriors, strict=True):
             check_key_field("candidate", candidate)
             rec = current.get(candidate, _NO_EXPERIENCE)
             updated[candidate] = ExperienceRecord(rec.n_success, rec.n_failure, posterior)
         if updated:
-            self._scopes.setdefault((action, mode, target), {}).update(updated)
+            self._scopes.setdefault(scope, {}).update(updated)
+            self._text.pop(scope, None)
 
     # -- serialization -------------------------------------------------------
 
@@ -164,10 +172,12 @@ class KnowledgeBase:
 
         The text is ``canonical.dumps`` of the whole document. ``meta`` goes
         through ``dumps``; every entry is one ``%`` over the entry template,
-        with each scope's action, mode and target encoded once. The
-        template's holes take only what ``ExperienceRecord`` and the writers
-        of this class guarantee: counts are exact ints and the posterior is
-        a finite float in [0, 1], never -0.0.
+        with each scope's action, mode and target encoded once. A scope's
+        entry text is kept until a writer of this class writes the scope, so
+        only the scopes written since the last export are formatted again.
+        The template's holes take only what ``ExperienceRecord`` and the
+        writers of this class guarantee: counts are exact ints and the
+        posterior is a finite float in [0, 1], never -0.0.
         """
         meta = canonical.dumps({
             "alpha0": float(self.config.alpha0),
@@ -176,15 +186,18 @@ class KnowledgeBase:
             "ontology_checksum": self.ontology_checksum,
             "tau": float(self.config.tau),
         })
-        entries = []
+        texts = []
         for scope in sorted(self._scopes):
-            action, mode, target = map(encode_basestring, scope)
-            records = self._scopes[scope]
-            for candidate in sorted(records):
-                rec = records[candidate]
-                entries.append(_ENTRY % (action, encode_basestring(candidate), mode,
-                                         rec.n_failure, rec.n_success, rec.posterior, target))
-        return _DOCUMENT % (",".join(entries), meta)
+            text = self._text.get(scope)
+            if text is None:
+                action, mode, target = map(encode_basestring, scope)
+                records = self._scopes[scope]
+                text = self._text[scope] = ",".join([
+                    _ENTRY % (action, encode_basestring(candidate), mode,
+                              rec.n_failure, rec.n_success, rec.posterior, target)
+                    for candidate, rec in sorted(records.items())])
+            texts.append(text)
+        return "".join((_HEAD, ",".join(texts), _MID, meta, _TAIL))
 
     @classmethod
     def import_json(cls, text: str) -> "KnowledgeBase":

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from suitgraph import ExperienceKey, KnowledgeBase, SchemaError, SuitabilityConfig, canonical
+from conftest import FIXTURE_CLUSTER_SIZES, FIXTURE_MODELS, make_rng
+from suitgraph import (ExperienceKey, KnowledgeBase, SchemaError, SuitabilityConfig, canonical,
+                       generalise_execution_model, store)
 from suitgraph.store import SCHEMA_VERSION
 from suitgraph.suitability import COUNT_MAX, ExperienceRecord
 
@@ -486,6 +488,10 @@ def reference_export(kb: KnowledgeBase) -> str:
 
 POOL = [ExperienceKey(a, "top", t, c)
         for a in ("grasp", "pour") for t in ("cup", "mug") for c in ("apple", "bowl", "can")]
+SCOPES = sorted({(k.action, k.mode, k.target) for k in POOL})
+
+# how a set_posteriors op breaks its call, if it does: ValueError, and no write
+_FAULTS = [None, None, "bad posterior", "extra posterior", "extra candidate"]
 
 
 def store_ops(posteriors):
@@ -493,6 +499,10 @@ def store_ops(posteriors):
         st.one_of(
             st.tuples(st.just("append"), st.integers(0, len(POOL) - 1), st.booleans(), posteriors),
             st.tuples(st.just("set_posterior"), st.integers(0, len(POOL) - 1), posteriors),
+            st.tuples(st.just("set_posteriors"), st.integers(0, len(SCOPES) - 1),
+                      st.lists(st.tuples(st.sampled_from(["apple", "bowl", "can", "dish"]), posteriors),
+                               max_size=4, unique_by=lambda write: write[0]),
+                      st.sampled_from(_FAULTS), st.sampled_from([1.5, -0.5, float("nan")])),
             st.just(("export",)),
         ),
         max_size=30,
@@ -508,6 +518,25 @@ def apply_op(kb: KnowledgeBase, op) -> None:
         kb.append(POOL[op[1]], op[2], op[3])
     elif op[0] == "set_posterior":
         kb.set_posterior(POOL[op[1]], op[2])
+    elif op[0] == "set_posteriors":
+        _, scope, writes, fault, bad = op
+        candidates = [c for c, _ in writes]
+        posteriors = [p for _, p in writes]
+        if fault is None:
+            kb.set_posteriors(*SCOPES[scope], candidates, posteriors)
+            return
+        if fault == "bad posterior":
+            candidates.append("egg")
+            posteriors.append(bad)
+        elif fault == "extra posterior":
+            posteriors.append(0.5)
+        else:
+            candidates.append("egg")
+        before = KnowledgeBase.import_json(reference_export(kb))
+        with pytest.raises(ValueError):
+            kb.set_posteriors(*SCOPES[scope], candidates, posteriors)
+        # all or nothing; the export ops and the final export check the bytes
+        assert kb == before
     else:
         assert kb.export_json() == reference_export(kb)
 
@@ -572,9 +601,6 @@ def test_export_matches_reference_for_any_strings_and_counts(entries, ops):
     assert KnowledgeBase.import_json(kb.export_json()).export_json() == kb.export_json()
 
 
-SCOPES = sorted({(k.action, k.mode, k.target) for k in POOL})
-
-
 @given(prefix=store_ops(_posteriors), imported=st.booleans(), scope=st.sampled_from(SCOPES),
        writes=st.lists(st.tuples(st.sampled_from(["apple", "bowl", "can", "dish"]), _posteriors), max_size=6))
 @settings(max_examples=150)
@@ -591,3 +617,58 @@ def test_set_posteriors_equals_set_posterior_loop(prefix, imported, scope, write
     assert kb == looped
     assert kb.export_json() == looped.export_json()
     assert all(math.copysign(1.0, rec.posterior) == 1.0 for _, rec in kb.items())
+
+
+class CountingTemplate(str):
+    """The entry template, counting the entries formatted with it."""
+
+    calls = 0
+
+    def __mod__(self, values):
+        self.calls += 1
+        return str.__mod__(self, values)
+
+
+def test_round_reformats_only_the_scope_it_wrote(monkeypatch, household):
+    kb = KnowledgeBase()
+    kb.set_posteriors("default", "default", "tomato_can", ["apple", "chips_can", "sugar_box"], [0.2, 0.3, 0.5])
+    kb.set_posteriors("default", "default", "cracker_box", ["chips_can", "sugar_box"], [0.4, 0.6])
+    kb.append(ExperienceKey("default", "default", "pitcher", "mug"), True, 1.0)
+    kb.append(ExperienceKey("grasp", "default", "tomato_can", "chips_can"), False, 1.0)
+    entry = CountingTemplate(store._ENTRY)
+    monkeypatch.setattr(store, "_ENTRY", entry)
+    assert kb.export_json() == reference_export(kb)
+    assert entry.calls == len(kb) == 7
+    entry.calls = 0
+    # the teach path: no beliefs, so the round writes its outcome and posteriors to the store
+    selected, outcome = generalise_execution_model(
+        "tomato_can", household, FIXTURE_MODELS, kb, kb.config, lambda obj, model: False, make_rng(0))
+    assert selected in {"chips_can", "sugar_box"} and outcome is False
+    text = kb.export_json()
+    assert text == reference_export(kb)
+    assert entry.calls == len(kb.records_for("default", "default", "tomato_can")) == 3
+    entry.calls = 0
+    assert kb.export_json() == text
+    assert entry.calls == 0
+
+
+def test_teach_loop_saves_reference_bytes(tmp_path, household):
+    path = tmp_path / "kb.json"
+    targets = sorted(FIXTURE_CLUSTER_SIZES)
+    seeded = KnowledgeBase(SuitabilityConfig(alpha0=2.0, tau=0.5), "feed1234")
+    for i, target in enumerate(targets[::2]):
+        seeded.set_posteriors("default", "default", target, ["chips_can", "mug"], [0.25, 0.75])
+        seeded.append(ExperienceKey("default", "default", target, "apple"), i % 2 == 0, 0.5)
+    seeded.append(ExperienceKey("grasp", "default", "banana", "apple"), True, 1.0)
+    seeded.save(path)
+    kb = KnowledgeBase.load(path)
+    rng, outcomes = make_rng(3), make_rng(4)
+    for target in targets * 3:
+        selected, _ = generalise_execution_model(
+            target, household, FIXTURE_MODELS, kb, kb.config,
+            lambda obj, model: bool(outcomes.random() < 0.6), rng)
+        assert selected is not None
+        kb.save(path)
+        text = path.read_text(encoding="utf-8")
+        assert text == reference_export(kb)
+        assert text == KnowledgeBase.import_json(text).export_json()
